@@ -250,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-construction",
                            help="full exact-arithmetic construction suite")
     p_ver.add_argument("--samples", type=str, default="1,2,3,5,7",
-                       help="comma-separated nonzero rational samples")
+                       help="comma-separated distinct nonzero rational samples; "
+                            "a list that starts with a negative sample must be "
+                            "written --samples=-1,2")
     p_ver.add_argument("--json", action="store_true")
 
     p_wit = sub.add_parser("witness", help="witness-family arithmetic")
@@ -277,6 +279,8 @@ def run_command(args: argparse.Namespace) -> dict:
         samples = _parse_samples(args.samples)
         if any(t == 0 for t in samples):
             raise UsageError("--samples must not contain 0")
+        if len(set(samples)) != len(samples):
+            raise UsageError("--samples must be pairwise distinct values")
         return run_verify_construction(samples)
     if args.subcommand == "witness":
         a = _positive(args.a, "--a")

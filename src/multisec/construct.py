@@ -317,15 +317,23 @@ def dual_point_on_fiber(curve_map: ProjectiveCurveMap,
     signs = tuple(dual_signs) if dual_signs is not None else (1,) * n
     if len(signs) != n:
         raise ValueError("one sign per entry required")
-    rows = []
-    for point in fiber_points:
-        values = curve_map.evaluate(point)
-        rows.append([s * v for s, v in zip(signs, values)])
+    return _hyperplane_intersection(
+        [_hyperplane_row(curve_map, point, signs) for point in fiber_points])
+
+
+def _hyperplane_row(curve_map: ProjectiveCurveMap, point: Sequence,
+                    signs: Sequence[int]) -> list:
+    return [s * v for s, v in zip(signs, curve_map.evaluate(point))]
+
+
+def _hyperplane_intersection(rows: Sequence[Sequence]) -> tuple:
+    # one hyperplane per row, one row fewer than columns: they meet in a ray
     matrix = ExactMatrix(rows)
     basis = exact_matrix_nullspace(matrix)
     if len(basis) != 1:
         raise DegenerateFiber(
-            f"hyperplane rows have rank {exact_matrix_rank(matrix)}, need {n - 1}")
+            f"hyperplane rows have rank {exact_matrix_rank(matrix)}, "
+            f"need {matrix.cols - 1}")
     return basis[0]
 
 
@@ -377,11 +385,11 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
     checks = []
     for t in samples:
         fiber = cover.fiber(t)
+        rows = [_hyperplane_row(j, point, signs) for point in fiber]
         for k in range(6):
             partner = (k + 3) % 6
             selection = [k] + [i for i in range(6) if i not in (k, partner)]
-            dual = dual_point_on_fiber(j, [fiber[i] for i in selection],
-                                       dual_signs=signs)
+            dual = _hyperplane_intersection([rows[i] for i in selection])
             matched = projective_equal(dual, candidate.evaluate(fiber[k]))
             checks.append(JPrimeCheck(t, k, matched))
     return JPrimeComparison(samples, tuple(checks))

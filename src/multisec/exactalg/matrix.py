@@ -3,8 +3,10 @@
 Elimination is fraction-free in the Bareiss style: each update divides by
 the previous pivot, which is an exact division (the intermediate entries
 are minors), so integer-valued rational matrices stay integral throughout.
-The scalars only need ring operations plus exact division, which both
-Fraction and Cyclotomic provide.
+The previous pivot is inverted once per pivot step and every update of
+that step multiplies by the inverse, so a step costs one field inversion
+however many entries it updates.  The scalars only need ring operations
+plus inversion, which both Fraction and Cyclotomic provide.
 """
 
 from __future__ import annotations
@@ -59,11 +61,18 @@ def _bareiss_echelon(m: ExactMatrix) -> tuple[list[list[object]], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            fi = rows[i][c]
-            for j in range(nc):
-                rows[i][j] = (rows[i][j] * piv - fi * rows[r][j]) / prev
+        top = rows[r]
+        piv = top[c]
+        below = range(r + 1, nr)
+        inv_prev = 1 / prev if below and prev != 1 else None
+        # below the pivot, columns up to c are never read again, so only
+        # the columns right of c are updated
+        for i in below:
+            row = rows[i]
+            fi = row[c]
+            for j in range(c + 1, nc):
+                entry = row[j] * piv - fi * top[j]
+                row[j] = entry if inv_prev is None else entry * inv_prev
         prev = piv
         pivot_cols.append(c)
         r += 1

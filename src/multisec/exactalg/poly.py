@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import Cyclotomic, scalar_is_zero
+from .univariate import monic_gcd
 
 Exponent = tuple[int, ...]
 
@@ -288,18 +289,6 @@ def _univariate_from_binary(form: SparseMultiPoly) -> tuple[int, list[Fraction]]
     return val, coeffs
 
 
-def _univariate_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    from .scalars import _frac_poly_divmod, _frac_poly_trim
-    a, b = _frac_poly_trim(list(a)), _frac_poly_trim(list(b))
-    while b:
-        _, r = _frac_poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]  # monic normal form
-    return a
-
-
 def binary_form_gcd(forms: Sequence[SparseMultiPoly]) -> SparseMultiPoly:
     """Monic gcd of homogeneous forms in two variables.
 
@@ -322,7 +311,7 @@ def binary_form_gcd(forms: Sequence[SparseMultiPoly]) -> SparseMultiPoly:
     for f in forms:
         val, coeffs = _univariate_from_binary(f)
         common_val = val if common_val is None else min(common_val, val)
-        gcd_coeffs = coeffs if gcd_coeffs is None else _univariate_gcd(gcd_coeffs, coeffs)
+        gcd_coeffs = coeffs if gcd_coeffs is None else monic_gcd(gcd_coeffs, coeffs)
     deg = len(gcd_coeffs) - 1
     terms = {(a, deg - a + common_val): c
              for a, c in enumerate(gcd_coeffs) if c != 0}

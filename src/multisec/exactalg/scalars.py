@@ -7,9 +7,13 @@ introduced; ``Rational`` is an alias.
 
 A cyclotomic number of conductor d is an element of Q[z]/(Phi_d(z)) where
 Phi_d is the d-th cyclotomic polynomial.  It is stored as the canonical
-reduced representative: a coefficient tuple of length phi(d) = deg Phi_d
-over Fraction, constant term first.  Phi_d itself is computed by the
-recursive quotient
+reduced representative with a common denominator: a tuple of phi(d) =
+deg Phi_d integer numerators, constant term first, over one positive
+integer denominator, with the gcd of all of them equal to 1.  The form is
+unique, so equality is tuple equality.  A product is an integer
+convolution of the numerators folded back below degree phi(d) by a cached
+table of x^k mod Phi_d (phi(d) <= k <= 2 phi(d) - 2); Phi_d is monic, so
+the table is integral.  Phi_d itself is computed by the recursive quotient
 
     Phi_d(x) = (x^d - 1) / prod(Phi_e(x) for e | d, e < d)
 
@@ -21,7 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
+
+from .univariate import quo_rem, trim, xgcd
 
 Rational = Fraction
 
@@ -77,55 +84,18 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _frac_poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _frac_poly_trim(out)
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and _frac_poly_trim(a):
-        da = len(a) - 1
-        c = a[-1] / lead
-        quot[da - db] = c
-        for k in range(db + 1):
-            a[da - db + k] -= c * b[k]
-        a = _frac_poly_trim(a)
-        if not a:
-            break
-    return _frac_poly_trim(quot), a
-
-
-def _frac_poly_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    # returns (g, u) with u*a = g (mod b); g is a nonzero constant when
-    # gcd(a, b) = 1, which holds for any a not divisible by irreducible b
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = _frac_poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        qu = _frac_poly_mul(q, u1)
-        nu = list(u0) + [Fraction(0)] * max(0, len(qu) - len(u0))
-        for i, c in enumerate(qu):
-            nu[i] -= c
-        u0, u1 = u1, _frac_poly_trim(nu)
-    return r0, u0
+@lru_cache(maxsize=None)
+def _reduction_rows(d: int) -> tuple[tuple[int, ...], ...]:
+    # row i holds x^(phi + i) mod Phi_d; none when phi = 1 (d = 1, 2),
+    # where a product of constants never leaves degree 0
+    mod = cyclotomic_polynomial(d)
+    row = [-c for c in mod[:-1]]
+    rows = []
+    for _ in range(len(mod) - 2):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [r - top * m for r, m in zip([0] + row[:-1], mod)]
+    return tuple(rows)
 
 
 class Cyclotomic:
@@ -135,32 +105,42 @@ class Cyclotomic:
     conductors do not mix (the constructions here never need it).
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "numerators", "denominator")
 
     def __init__(self, conductor: int, coeffs) -> None:
         phi = euler_phi(conductor)
         vec = [Fraction(c) for c in coeffs]
         if len(vec) > phi:
-            vec = self._reduce(conductor, vec)
+            _, vec = quo_rem(vec, cyclotomic_polynomial(conductor))
         vec += [Fraction(0)] * (phi - len(vec))
+        # the lcm of reduced denominators leaves no common factor behind
+        den = lcm(*(c.denominator for c in vec))
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "numerators",
+                           tuple(c.numerator * (den // c.denominator) for c in vec))
+        object.__setattr__(self, "denominator", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
 
-    @staticmethod
-    def _reduce(conductor: int, vec: list[Fraction]) -> list[Fraction]:
-        mod = cyclotomic_polynomial(conductor)
-        deg = len(mod) - 1
-        vec = list(vec)
-        for i in range(len(vec) - 1, deg - 1, -1):
-            c = vec[i]
-            if c == 0:
-                continue
-            for k in range(deg + 1):
-                vec[i - deg + k] -= c * mod[k]
-        return _frac_poly_trim(vec[:deg] + [Fraction(0)])
+    @classmethod
+    def _make(cls, conductor: int, num, den: int) -> "Cyclotomic":
+        # den > 0; divides out the common gcd to reach the normal form
+        g = gcd(den, *num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "conductor", conductor)
+        object.__setattr__(obj, "numerators", tuple(num))
+        object.__setattr__(obj, "denominator", den)
+        return obj
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients over Q, constant term first."""
+        den = self.denominator
+        return tuple(Fraction(n, den) for n in self.numerators)
 
     @classmethod
     def zeta(cls, conductor: int) -> "Cyclotomic":
@@ -169,7 +149,9 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, conductor: int, value: RationalLike) -> "Cyclotomic":
-        return cls(conductor, [Fraction(value)])
+        phi = len(cyclotomic_polynomial(conductor)) - 1
+        return cls._make(conductor, [value.numerator] + [0] * (phi - 1),
+                         value.denominator)
 
     @classmethod
     def one(cls, conductor: int) -> "Cyclotomic":
@@ -180,54 +162,76 @@ class Cyclotomic:
         return cls.from_rational(conductor, 0)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.numerators[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.numerators[0], self.denominator)
 
-    def _coerce(self, other):
+    def _check_conductor(self, other: "Cyclotomic") -> None:
+        if other.conductor != self.conductor:
+            raise ValueError(
+                f"conductor mismatch: {self.conductor} vs {other.conductor}")
+
+    def _plus(self, other, sign: int):
+        # self + sign * other
+        a, da = self.numerators, self.denominator
         if isinstance(other, Cyclotomic):
-            if other.conductor != self.conductor:
-                raise ValueError(
-                    f"conductor mismatch: {self.conductor} vs {other.conductor}")
-            return other
+            self._check_conductor(other)
+            b, db = other.numerators, other.denominator
+            if da == db:
+                return Cyclotomic._make(self.conductor,
+                                        [x + sign * y for x, y in zip(a, b)], da)
+            return Cyclotomic._make(self.conductor,
+                                    [x * db + sign * y * da for x, y in zip(a, b)],
+                                    da * db)
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.conductor, other)
-        return None
+            on, od = other.numerator, other.denominator
+            num = [x * od for x in a]
+            num[0] += sign * on * da
+            return Cyclotomic._make(self.conductor, num, da * od)
+        return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.conductor,
-                          [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.conductor,
-                          [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o - self
+        return (-self)._plus(other, 1)
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, [-c for c in self.coeffs])
+        return Cyclotomic._make(self.conductor,
+                                [-c for c in self.numerators], self.denominator)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.conductor,
-                          _frac_poly_mul(list(self.coeffs), list(o.coeffs)))
+        a, da = self.numerators, self.denominator
+        if isinstance(other, Cyclotomic):
+            self._check_conductor(other)
+            b = other.numerators
+            phi = len(a)
+            prod = [0] * (2 * phi - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        prod[k] += x * y
+            num = prod[:phi]
+            for c, row in zip(prod[phi:], _reduction_rows(self.conductor)):
+                if c:
+                    for k, r in enumerate(row):
+                        num[k] += c * r
+            return Cyclotomic._make(self.conductor, num, da * other.denominator)
+        if isinstance(other, (int, Fraction)):
+            on = other.numerator
+            return Cyclotomic._make(self.conductor, [x * on for x in a],
+                                    da * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -235,22 +239,23 @@ class Cyclotomic:
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
         mod = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        g, u = _frac_poly_xgcd(_frac_poly_trim(list(self.coeffs)), mod)
-        # Phi_d is irreducible over Q, so g is a nonzero constant
-        scale = Fraction(1) / g[0]
+        g, u = xgcd(trim([Fraction(c) for c in self.numerators]), mod)
+        # Phi_d is irreducible over Q, so g is a nonzero constant; the
+        # common denominator of self moves to the numerator
+        scale = self.denominator / g[0]
         return Cyclotomic(self.conductor, [c * scale for c in u])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, Cyclotomic):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -262,26 +267,30 @@ class Cyclotomic:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __bool__(self) -> bool:
-        return any(c != 0 for c in self.coeffs)
+        return any(self.numerators)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self.numerators[0] == other.numerator
+                    and self.denominator == other.denominator)
         if isinstance(other, Cyclotomic):
             if other.conductor == self.conductor:
-                return self.coeffs == other.coeffs
+                return (self.numerators == other.numerators
+                        and self.denominator == other.denominator)
             return (self.is_rational() and other.is_rational()
-                    and self.coeffs[0] == other.coeffs[0])
+                    and self.numerators[0] == other.numerators[0]
+                    and self.denominator == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(self.to_fraction())
         return hash((self.conductor, self.coeffs))
 
     def __repr__(self) -> str:

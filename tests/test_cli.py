@@ -99,6 +99,19 @@ def test_zero_sample_exits_2():
     assert "--samples" in result.stderr or "samples" in result.stderr
 
 
+@pytest.mark.parametrize("samples", ["1,1", "1,2/2"])
+def test_repeated_sample_exits_2_and_names_flag(samples, capsys):
+    assert cli.main(["verify-construction", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_first_sample_needs_equals_form(capsys):
+    assert cli.main(["verify-construction", "--samples=-1,2"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("verdict: verified")
+
+
 def test_unknown_subcommand_exits_2():
     result = run_cli("frobenius")
     assert result.returncode == 2

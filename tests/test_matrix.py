@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multisec.exactalg import (
     AT_INFINITY,
@@ -107,3 +107,80 @@ def test_vandermonde_100_random_distinct_quadruples():
         while len(seen) < 4:
             seen.add(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
         assert vandermonde_general_position(3, sorted(seen))
+
+
+def gauss_jordan(rows):
+    """Rank and nullspace by naive Gauss-Jordan elimination, the oracle.
+
+    Reduces to reduced row echelon form with a field division per pivot,
+    then reads off one basis vector per free column, carrying a 1 there and
+    0 in the other free columns, as exact_matrix_nullspace normalizes it.
+    """
+    m = [list(r) for r in rows]
+    ncols = len(m[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -m[k][fc]
+        basis.append(tuple(v))
+    return len(pivots), basis
+
+
+sparse_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4))
+cyclotomics6 = st.builds(lambda a, b: Cyclotomic(6, [a, b]),
+                         sparse_fractions, sparse_fractions)
+
+
+@st.composite
+def low_rank_matrices(draw, scalars, nr, nc, max_rank):
+    """Rows spanning a space of dimension at most max_rank, in any order."""
+    rank = draw(st.integers(0, min(max_rank, nr, nc)))
+    basis = [draw(st.lists(scalars, min_size=nc, max_size=nc)) for _ in range(rank)]
+    rows = list(basis)
+    while len(rows) < nr:
+        coeffs = [draw(scalars) for _ in basis]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0))
+                     for j in range(nc)])
+    return draw(st.permutations(rows))
+
+
+def assert_matches_gauss_jordan(rows):
+    m = ExactMatrix(rows)
+    rank, basis = gauss_jordan(m.entries)
+    assert exact_matrix_rank(m) == rank
+    assert exact_matrix_nullspace(m) == basis
+
+
+# exact elimination over Q(zeta_6) can take over a tenth of a second on a
+# loaded machine, so the per-example deadline is off
+@settings(deadline=None)
+@given(st.one_of(st.lists(st.lists(cyclotomics6, min_size=6, max_size=6),
+                          min_size=5, max_size=5),
+                 low_rank_matrices(cyclotomics6, 5, 6, 5)))
+def test_cyclotomic_5x6_matches_gauss_jordan(rows):
+    assert_matches_gauss_jordan(rows)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_rational_low_rank_matches_gauss_jordan(nr, nc, data):
+    rows = data.draw(low_rank_matrices(sparse_fractions, nr, nc, 5))
+    assert_matches_gauss_jordan(rows)
