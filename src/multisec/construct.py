@@ -317,24 +317,17 @@ def dual_point_on_fiber(curve_map: ProjectiveCurveMap,
     signs = tuple(dual_signs) if dual_signs is not None else (1,) * n
     if len(signs) != n:
         raise ValueError("one sign per entry required")
-    return _hyperplane_intersection(
-        [_hyperplane_row(curve_map, point, signs) for point in fiber_points])
+    basis = exact_matrix_nullspace(ExactMatrix(
+        [_hyperplane_row(curve_map, point, signs) for point in fiber_points]))
+    if len(basis) != 1:
+        raise DegenerateFiber(
+            f"hyperplane rows have rank {n - len(basis)}, need {n - 1}")
+    return basis[0]
 
 
 def _hyperplane_row(curve_map: ProjectiveCurveMap, point: Sequence,
                     signs: Sequence[int]) -> list:
     return [s * v for s, v in zip(signs, curve_map.evaluate(point))]
-
-
-def _hyperplane_intersection(rows: Sequence[Sequence]) -> tuple:
-    # one hyperplane per row, one row fewer than columns: they meet in a ray
-    matrix = ExactMatrix(rows)
-    basis = exact_matrix_nullspace(matrix)
-    if len(basis) != 1:
-        raise DegenerateFiber(
-            f"hyperplane rows have rank {exact_matrix_rank(matrix)}, "
-            f"need {matrix.cols - 1}")
-    return basis[0]
 
 
 @dataclass(frozen=True)
@@ -372,6 +365,12 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
     s -> -s is the one left out).  Hyperplanes pair through the involution
     twist (minus on the odd-weight block); the resulting intersection
     point must equal the candidate at s up to a single scalar.
+
+    Partners s, -s share those four hyperplanes, so each pair (k, k + 3)
+    solves one 4 x 6 nullspace, a pencil {u, w}, and each point's own row
+    r picks (r.w) u - (r.u) w from it.  The five rows have full rank iff
+    the nullspace is 2-dimensional and that point is nonzero; otherwise
+    DegenerateFiber is raised.  Checks come in sample, then fiber order.
     """
     if len(j.entries) != 6 or len(candidate.entries) != 6:
         raise ValueError("expected six-entry maps")
@@ -386,10 +385,18 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
     for t in samples:
         fiber = cover.fiber(t)
         rows = [_hyperplane_row(j, point, signs) for point in fiber]
+        pencils = [exact_matrix_nullspace(ExactMatrix(
+            [row for i, row in enumerate(rows) if i % 3 != pair])) for pair in range(3)]
         for k in range(6):
-            partner = (k + 3) % 6
-            selection = [k] + [i for i in range(6) if i not in (k, partner)]
-            dual = _hyperplane_intersection([rows[i] for i in selection])
+            # four rows in six columns leave a nullspace of dimension >= 2
+            u, w, *excess = pencils[k % 3]
+            a = sum(x * y for x, y in zip(rows[k], w))
+            b = sum(x * y for x, y in zip(rows[k], u))
+            if excess or (scalar_is_zero(a) and scalar_is_zero(b)):
+                raise DegenerateFiber(
+                    f"hyperplane rows at fiber point {k} of sample {t} "
+                    f"have rank below 5")
+            dual = tuple(a * x - b * y for x, y in zip(u, w))
             matched = projective_equal(dual, candidate.evaluate(fiber[k]))
             checks.append(JPrimeCheck(t, k, matched))
     return JPrimeComparison(samples, tuple(checks))

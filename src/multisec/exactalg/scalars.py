@@ -12,8 +12,11 @@ deg Phi_d integer numerators, constant term first, over one positive
 integer denominator, with the gcd of all of them equal to 1.  The form is
 unique, so equality is tuple equality.  A product is an integer
 convolution of the numerators folded back below degree phi(d) by a cached
-table of x^k mod Phi_d (phi(d) <= k <= 2 phi(d) - 2); Phi_d is monic, so
-the table is integral.  Phi_d itself is computed by the recursive quotient
+table of x^m mod Phi_d (0 <= m < d, since x^d = 1); Phi_d is monic, so the
+table is integral.  An inverse is the product of the conjugates sigma_k(a),
+k in (Z/d)^* other than 1 (each read off the same table), over the integer
+norm N(a) = a * prod sigma_k(a): integer arithmetic only.  Phi_d itself is
+computed by the recursive quotient
 
     Phi_d(x) = (x^d - 1) / prod(Phi_e(x) for e | d, e < d)
 
@@ -28,7 +31,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .univariate import quo_rem, trim, xgcd
+from .univariate import quo_rem
 
 Rational = Fraction
 
@@ -85,17 +88,33 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(d: int) -> tuple[tuple[int, ...], ...]:
-    # row i holds x^(phi + i) mod Phi_d; none when phi = 1 (d = 1, 2),
-    # where a product of constants never leaves degree 0
+def _power_rows(d: int) -> tuple[tuple[int, ...], ...]:
+    # row m holds x^m mod Phi_d for 0 <= m < d; x^d = 1 covers the rest
     mod = cyclotomic_polynomial(d)
-    row = [-c for c in mod[:-1]]
+    row = [1] + [0] * (len(mod) - 2)
     rows = []
-    for _ in range(len(mod) - 2):
+    for _ in range(d):
         rows.append(tuple(row))
         top = row[-1]
         row = [r - top * m for r, m in zip([0] + row[:-1], mod)]
     return tuple(rows)
+
+
+def _mul_numerators(d: int, a, b) -> list[int]:
+    # integer product of two numerator vectors modulo Phi_d
+    phi = len(a)
+    prod = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                prod[k] += x * y
+    num = prod[:phi]
+    powers = _power_rows(d)
+    for m, c in enumerate(prod[phi:], phi):
+        if c:
+            for k, r in enumerate(powers[m % d]):
+                num[k] += c * r
+    return num
 
 
 class Cyclotomic:
@@ -214,18 +233,7 @@ class Cyclotomic:
         a, da = self.numerators, self.denominator
         if isinstance(other, Cyclotomic):
             self._check_conductor(other)
-            b = other.numerators
-            phi = len(a)
-            prod = [0] * (2 * phi - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for k, y in enumerate(b, i):
-                        prod[k] += x * y
-            num = prod[:phi]
-            for c, row in zip(prod[phi:], _reduction_rows(self.conductor)):
-                if c:
-                    for k, r in enumerate(row):
-                        num[k] += c * r
+            num = _mul_numerators(self.conductor, a, other.numerators)
             return Cyclotomic._make(self.conductor, num, da * other.denominator)
         if isinstance(other, (int, Fraction)):
             on = other.numerator
@@ -236,14 +244,22 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """The norm form: the product of the other conjugates over N(self)."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        g, u = xgcd(trim([Fraction(c) for c in self.numerators]), mod)
-        # Phi_d is irreducible over Q, so g is a nonzero constant; the
-        # common denominator of self moves to the numerator
-        scale = self.denominator / g[0]
-        return Cyclotomic(self.conductor, [c * scale for c in u])
+        d, a = self.conductor, self.numerators
+        powers = _power_rows(d)
+        others = [1] + [0] * (len(a) - 1)
+        for k in range(2, d):
+            if gcd(k, d) == 1:
+                conj = [sum(c * powers[i * k % d][m] for i, c in enumerate(a))
+                        for m in range(len(a))]
+                others = _mul_numerators(d, others, conj)
+        # a * others is the integer norm N of the numerator vector, so the
+        # inverse is den * others / N, with N's sign moved up to keep den > 0
+        norm = _mul_numerators(d, a, others)[0]
+        den = self.denominator if norm > 0 else -self.denominator
+        return Cyclotomic._make(d, [den * q for q in others], abs(norm))
 
     def __truediv__(self, other):
         if isinstance(other, Cyclotomic):

@@ -2,7 +2,7 @@
 
 A polynomial is a list of Fraction coefficients, constant term first, with
 no trailing zeros (the zero polynomial is the empty list).  These helpers
-serve the cyclotomic inverse (an extended gcd against Phi_d) and the gcd
+serve the reduction of a long coefficient vector modulo Phi_d and the gcd
 of binary forms (a monic gcd of their dehomogenizations).
 """
 
@@ -16,18 +16,6 @@ def trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return trim(out)
 
 
 def quo_rem(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -44,25 +32,6 @@ def quo_rem(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[
             a[da - db + k] -= c * b[k]
         trim(a)
     return trim(quot), a
-
-
-def xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """(g, u) with u*a = g (mod b) and g a gcd of a and b.
-
-    g is a nonzero constant when gcd(a, b) = 1, which holds for any a not
-    divisible by an irreducible b.
-    """
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = quo_rem(r0, r1)
-        r0, r1 = r1, r
-        qu = mul(q, u1)
-        nu = list(u0) + [Fraction(0)] * max(0, len(qu) - len(u0))
-        for i, c in enumerate(qu):
-            nu[i] -= c
-        u0, u1 = u1, trim(nu)
-    return r0, u0
 
 
 def monic_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -10,6 +10,7 @@ which automatically certifies e < 4ab - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 
 class BadInput(ValueError):
@@ -76,18 +77,23 @@ def span_and_basepoint(a: int, b: int) -> tuple[int, bool]:
 def choose_ab_and_certify(a_prime: int, b_prime: int, e: int) -> WitnessReport:
     """Cheapest (a, b) with a >= a', b >= b', 4ab > e + 1; ties go to smaller a.
 
-    The minimizer takes, for each a, the least admissible b, and stops
-    scanning once 4*a*b' alone exceeds the best product found.
+    4ab > e + 1 means ab >= m = (e + 1) // 4 + 1.  Lowering a factor above
+    ceil(sqrt(m)) keeps ab >= m, so a cheapest pair is (a', b') or has a
+    factor f <= ceil(sqrt(m)); the scan tries each such f as a and as b with
+    its least admissible partner, O(sqrt(e)) steps.
     """
     _require_positive(a_prime=a_prime, b_prime=b_prime, e=e)
-    best: tuple[int, int] | None = None
-    a = a_prime
-    while best is None or 4 * a * b_prime <= 4 * best[0] * best[1]:
-        b = max(b_prime, (e + 1) // (4 * a) + 1)
-        if best is None or 4 * a * b < 4 * best[0] * best[1]:
-            best = (a, b)
-        a += 1
-    a, b = best
+    m = (e + 1) // 4 + 1
+    best = (a_prime * max(b_prime, -(-m // a_prime)), a_prime)
+    for f in range(min(a_prime, b_prime), isqrt(m - 1) + 2):
+        partner = -(-m // f)
+        if f >= a_prime:
+            best = min(best, (f * max(b_prime, partner), f))
+        if f >= b_prime:
+            a = max(a_prime, partner)
+            best = min(best, (a * f, a))
+    product, a = best
+    b = product // a
     report = witness_parameters(a, b)
     return WitnessReport(a=a, b=b, n=report.n, d=report.d,
                          span_bound=report.span_bound,

@@ -48,6 +48,15 @@ def test_witness_with_e():
     assert payload["results"]["no_section_ok"] is True
 
 
+def test_witness_with_e_of_thirteen_digits():
+    # a scan linear in e would take hours here
+    result = run_cli("witness", "--a", "1", "--b", "1", "--e", str(10 ** 12), "--json")
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert (payload["results"]["a"], payload["results"]["b"]) == (1, 250000000001)
+    assert payload["results"]["no_section_ok"] is True
+
+
 def test_witness_without_e():
     result = run_cli("witness", "--a", "2", "--b", "2", "--json")
     payload = json.loads(result.stdout)

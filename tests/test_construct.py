@@ -251,6 +251,35 @@ def test_dual_point_repeated_point_degenerate():
         dual_point_on_fiber(j, points)
 
 
+@pytest.mark.parametrize("entries, pencil_dim", [
+    # every entry a multiple of one quintic: the rows have rank 1
+    (("S0^5 + 2*S0^3*S1^2 - S1^5", "-2*S0^5 - 4*S0^3*S1^2 + 2*S1^5",
+      "3*S0^5 + 6*S0^3*S1^2 - 3*S1^5", "1/2*S0^5 + S0^3*S1^2 - 1/2*S1^5",
+      "-S0^5 - 2*S0^3*S1^2 + S1^5", "7/3*S0^5 + 14/3*S0^3*S1^2 - 7/3*S1^5"), 5),
+    # four quintics: the shared rows leave a pencil, but the own row lies
+    # in their span, so the dual point the pencil gives is zero
+    (("S0^5", "S0^4*S1", "S0^3*S1^2", "S0^2*S1^3",
+      "S0^5 + S0^4*S1", "S0^3*S1^2 - 3*S0^2*S1^3"), 2),
+    # four quintics the shared points do not separate: the own row lies
+    # outside the span of the shared rows, but those leave more than a pencil
+    (("S1^5", "S0*S1^4", "S0^2*S1^3", "S0^4*S1",
+      "S1^5 - S0*S1^4", "2*S0^2*S1^3 + S0^4*S1"), 3),
+])
+def test_derive_jprime_degenerate_maps(entries, pencil_dim):
+    from multisec.exactalg import ExactMatrix, exact_matrix_nullspace
+
+    j = curve_map(*entries)
+    signs = standard_weight_action().involution_signs()
+    fiber = MonomialCover(6).fiber(Fraction(2))
+    rows = [[s * v for s, v in zip(signs, j.evaluate(point))] for point in fiber]
+    shared = ExactMatrix([rows[i] for i in (1, 2, 4, 5)])
+    assert len(exact_matrix_nullspace(shared)) == pencil_dim
+    with pytest.raises(DegenerateFiber, match="fiber point 0 of sample 2"):
+        derive_jprime_and_compare(j, corrected_jprime(), samples=(2, 3))
+    with pytest.raises(DegenerateFiber):
+        dual_point_on_fiber(j, [fiber[i] for i in (0, 1, 2, 4, 5)], dual_signs=signs)
+
+
 def test_five_distinct_fiber_points_have_rank_five():
     # linearly general position on a degree-5 normal curve
     from multisec.exactalg import ExactMatrix, exact_matrix_nullspace, exact_matrix_rank

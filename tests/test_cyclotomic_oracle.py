@@ -222,3 +222,26 @@ def test_degree_one_conductors(d):
     assert z * z == 1
     assert_same(z * Cyclotomic(d, [Fraction(2, 3)]),
                 RefCyclotomic(d, [0, 1]) * RefCyclotomic(d, [Fraction(2, 3)]))
+
+
+# heights far past what the derivation produces: numerators and
+# denominators up to 10^30, so products of conjugates reach hundreds of digits
+tall = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+
+
+@slow
+@given(st.integers(1, 12), st.data())
+def test_large_height_inverse_is_exact(d, data):
+    x = Cyclotomic(d, data.draw(st.lists(tall, min_size=1, max_size=euler_phi(d))))
+    assume(x)
+    assert x * x.inverse() == 1
+    assert x.inverse().inverse() == x
+
+
+@given(st.sampled_from([1, 2]),
+       st.builds(Fraction, st.integers(-10 ** 30, -1), st.integers(1, 10 ** 30)))
+def test_negative_rational_inverse_has_positive_denominator(d, q):
+    inverse = Cyclotomic.from_rational(d, q).inverse()
+    assert inverse.denominator > 0
+    assert gcd(inverse.denominator, *inverse.numerators) == 1
+    assert inverse == 1 / q

@@ -62,13 +62,19 @@ def test_choose_large_e():
 
 
 def test_choose_is_minimal_by_exhaustion():
-    for a_prime, b_prime, e in [(1, 1, 7), (2, 2, 30), (3, 1, 50), (1, 3, 11)]:
-        report = choose_ab_and_certify(a_prime, b_prime, e)
-        best = min(4 * a * b
-                   for a in range(a_prime, a_prime + e + 2)
-                   for b in range(b_prime, b_prime + e + 2)
-                   if 4 * a * b > e + 1)
-        assert 4 * report.a * report.b == best
+    # every admissible pair no dearer than (a', its least admissible b),
+    # ordered by product and then by a: the first is the cheapest pair
+    # with the least a
+    for a_prime in range(1, 5):
+        for b_prime in range(1, 5):
+            for e in range(1, 201):
+                report = choose_ab_and_certify(a_prime, b_prime, e)
+                bound = a_prime * max(b_prime, (e + 1) // (4 * a_prime) + 1)
+                best = min((a * b, a, b)
+                           for a in range(a_prime, bound + 1)
+                           for b in range(b_prime, bound // a + 1)
+                           if 4 * a * b > e + 1)
+                assert (report.a * report.b, report.a, report.b) == best
 
 
 def test_certificate_implication_sample():
