@@ -21,9 +21,20 @@ class UsageError(ValueError):
     """Bad flag value; rendered with the offending flag name, exit code 2."""
 
 
-def _positive(value: int, flag: str) -> int:
+# Input caps that bound time and memory.  On a 2-CPU x86_64 host with
+# Python 3.11, `hypersurface --d 17 --n 17` enumerates all 2^17 fiber subsets
+# in about 1.5 s (d = 18 takes 3.6 s) and `witness --e 10^12` scans about
+# 5 * 10^5 factors in about 0.8 s.  `semigroup` shares the cap on --d, which
+# also bounds its O(k * d) Apery-set precompute.
+MAX_D = 17
+MAX_E = 10 ** 12
+
+
+def _positive(value: int, flag: str, cap: int | None = None) -> int:
     if value < 1:
         raise UsageError(f"{flag} must be a positive integer, got {value}")
+    if cap is not None and value > cap:
+        raise UsageError(f"{flag} must be at most {cap}, got {value}")
     return value
 
 
@@ -233,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hyp = sub.add_parser("hypersurface",
                            help="divisor and index report for a hypersurface pencil")
-    p_hyp.add_argument("--d", type=int, required=True, help="fiber degree")
+    p_hyp.add_argument("--d", type=int, required=True,
+                       help=f"fiber degree, at most {MAX_D}")
     p_hyp.add_argument("--n", type=int, required=True, help="twisting degree")
     p_hyp.add_argument("--json", action="store_true")
 
@@ -242,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enr.add_argument("--json", action="store_true")
 
     p_semi = sub.add_parser("semigroup", help="degree-semigroup membership")
-    p_semi.add_argument("--d", type=int, required=True)
+    p_semi.add_argument("--d", type=int, required=True, help=f"at most {MAX_D}")
     p_semi.add_argument("--n", type=int, required=True)
     p_semi.add_argument("--query", type=int, required=True)
     p_semi.add_argument("--json", action="store_true")
@@ -258,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit = sub.add_parser("witness", help="witness-family arithmetic")
     p_wit.add_argument("--a", type=int, required=True)
     p_wit.add_argument("--b", type=int, required=True)
-    p_wit.add_argument("--e", type=int, default=None)
+    p_wit.add_argument("--e", type=int, default=None, help=f"at most {MAX_E}")
     p_wit.add_argument("--json", action="store_true")
 
     return parser
@@ -266,11 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(args: argparse.Namespace) -> dict:
     if args.subcommand == "hypersurface":
-        return run_hypersurface(_positive(args.d, "--d"), _positive(args.n, "--n"))
+        return run_hypersurface(_positive(args.d, "--d", MAX_D), _positive(args.n, "--n"))
     if args.subcommand == "enriques":
         return run_enriques()
     if args.subcommand == "semigroup":
-        d = _positive(args.d, "--d")
+        d = _positive(args.d, "--d", MAX_D)
         n = _positive(args.n, "--n")
         if args.query < 0:
             raise UsageError(f"--query must be nonnegative, got {args.query}")
@@ -285,7 +297,7 @@ def run_command(args: argparse.Namespace) -> dict:
     if args.subcommand == "witness":
         a = _positive(args.a, "--a")
         b = _positive(args.b, "--b")
-        e = args.e if args.e is None else _positive(args.e, "--e")
+        e = args.e if args.e is None else _positive(args.e, "--e", MAX_E)
         return run_witness(a, b, e)
     raise UsageError(f"unknown subcommand {args.subcommand!r}")
 

@@ -1,14 +1,45 @@
 """Numerical semigroups of attainable multi-section degrees.
 
-A semigroup is given by positive generators; membership reduces by the gcd
-first and then runs a coin-problem dynamic program, which keeps the test
-correct for non-coprime generator sets like {4, 6}.
+A semigroup is given by positive generators.  Membership reduces by the
+gcd first, which keeps the test correct for non-coprime generator sets like
+{4, 6}, and then compares the query with the Apéry set of the least reduced
+generator m: the least element of the semigroup in each residue class mod m.
+The set is built by the round-robin algorithm of Böcker and Lipták ("A fast
+and simple algorithm for the money changing problem", Algorithmica 48,
+2007) in O(k·m) time and O(m) memory for k distinct generators, so the cost
+of a query does not depend on its size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
+
+
+def _apery_set(coins: list[int]) -> list[int]:
+    """Least semigroup element in each residue class mod coins[0].
+
+    `coins` are distinct, ascending and coprime.  Adding a coin c splits the
+    classes mod m into gcd(m, c) cycles r -> r + c; each cycle is walked once
+    from its least entry, so every entry is relaxed from a final predecessor.
+    """
+    m = coins[0]
+    least: list = [None] * m  # None: no element in that class yet
+    least[0] = 0
+    for c in coins[1:]:
+        cycles = gcd(m, c)
+        for start in range(cycles):
+            known = [v for v in least[start::cycles] if v is not None]
+            if not known:
+                continue
+            value = min(known)
+            for _ in range(m // cycles - 1):
+                value += c
+                r = value % m
+                if least[r] is not None and least[r] < value:
+                    value = least[r]
+                least[r] = value
+    return least
 
 
 @dataclass(frozen=True)
@@ -33,23 +64,13 @@ class NumericalSemigroup:
     def contains(self, x: int) -> bool:
         if x < 0:
             raise ValueError("membership is defined for nonnegative integers")
-        if x == 0:
-            return True
         g = self.gcd()
         if x % g:
             return False
-        target = x // g
         coins = sorted({c // g for c in self.generators})
-        reachable = [False] * (target + 1)
-        reachable[0] = True
-        for v in range(1, target + 1):
-            for c in coins:
-                if c > v:
-                    break
-                if reachable[v - c]:
-                    reachable[v] = True
-                    break
-        return reachable[target]
+        # the reduced coins are coprime, so every class mod coins[0] is reached
+        x //= g
+        return x >= _apery_set(coins)[x % coins[0]]
 
 
 def sdn_generators(d: int, n: int) -> NumericalSemigroup:

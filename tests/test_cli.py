@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -146,3 +148,61 @@ def test_exit_code_is_function_of_verdict():
     # same command, in-process: verified -> 0
     code = cli.main(["enriques"])
     assert code == 0
+
+
+@pytest.mark.parametrize("d, n, contains", [(6, 3, True), (6, 1, False)])
+def test_semigroup_query_of_thirty_one_digits(d, n, contains, capsys):
+    # {6, 15, 20} is coprime; {6} rejects 10^30 by the gcd test
+    start = time.perf_counter()
+    assert cli.main(["semigroup", "--d", str(d), "--n", str(n),
+                     "--query", str(10 ** 30), "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["results"]["contains"] is contains
+
+
+def test_semigroup_query_of_a_million_stays_small(capsys):
+    # traced allocations, not ru_maxrss: a child of this process inherits
+    # its peak RSS on Linux, which would hide an 8 MB query-sized table
+    tracemalloc.start()
+    try:
+        assert cli.main(["semigroup", "--d", "6", "--n", "3",
+                         "--query", "1000000", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert json.loads(capsys.readouterr().out)["results"]["contains"] is True
+
+
+@pytest.mark.parametrize("subcommand", [["hypersurface"], ["semigroup", "--query", "3"]])
+def test_d_above_cap_exits_2_and_names_flag(subcommand, monkeypatch, capsys):
+    assert cli.MAX_D >= 14  # the largest d the benchmark runs
+    def refuse(*args):
+        raise AssertionError("enumeration started past the cap")
+    monkeypatch.setattr(cli.strata, "hypersurface_pencil_model", refuse)
+    monkeypatch.setattr(cli.semigroup, "sdn_generators", refuse)
+    argv = subcommand + ["--d", str(cli.MAX_D + 1), "--n", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--d" in captured.err
+    assert captured.out == ""
+
+
+def test_d_at_cap_answers():
+    result = run_cli("hypersurface", "--d", str(cli.MAX_D), "--n", "2", "--json")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["results"]["divisors"] == [
+        cli.MAX_D, cli.MAX_D * (cli.MAX_D - 1) // 2]
+
+
+def test_e_above_cap_exits_2_at_once(monkeypatch, capsys):
+    assert cli.MAX_E >= 10 ** 12
+    def refuse(*args):
+        raise AssertionError("witness search started past the cap")
+    monkeypatch.setattr(cli.witness, "choose_ab_and_certify", refuse)
+    start = time.perf_counter()
+    assert cli.main(["witness", "--a", "1", "--b", "1", "--e", str(cli.MAX_E + 1)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "--e" in captured.err
+    assert captured.out == ""

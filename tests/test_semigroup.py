@@ -1,7 +1,8 @@
+from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from multisec.semigroup import (
     NumericalSemigroup,
@@ -25,6 +26,27 @@ def naive_members(generators, limit):
                     nxt.append(v)
         frontier = nxt
     return members
+
+
+def dp_members(generators, limit):
+    """The coin-problem dynamic program that `contains` used to run.
+
+    One boolean per unit of limit // gcd: entry x says whether x is a sum of
+    the generators.  Slow but plainly right, so it stays as the oracle of
+    the Apery-set membership test.
+    """
+    g = gcd(*generators)
+    coins = sorted({c // g for c in generators})
+    reachable = [False] * (limit // g + 1)
+    reachable[0] = True
+    for v in range(1, len(reachable)):
+        for c in coins:
+            if c > v:
+                break
+            if reachable[v - c]:
+                reachable[v] = True
+                break
+    return [x % g == 0 and reachable[x // g] for x in range(limit + 1)]
 
 
 def test_sdn_generator_examples():
@@ -105,3 +127,41 @@ def test_gcd_and_min_consistency():
             m = min(d, n)
             assert s.generators == tuple(comb(d, i) for i in range(1, m + 1))
             assert s.gcd() == gcd(*s.generators) if len(s.generators) > 1 else s.generators[0]
+
+
+# 1-5 generators in 1..60 sharing a factor k: k = 1 gives mostly coprime
+# sets, k > 1 sets that the gcd reduction must handle; duplicates are common
+generator_lists = st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.integers(1, 60 // k).map(lambda v: k * v),
+                       min_size=1, max_size=5))
+
+
+@given(generator_lists, st.integers(0, 3000))
+@example([4, 7, 10], 17)  # 10 walks two cycles mod 4; 17 needs the least start
+def test_membership_matches_dynamic_program(gens, x):
+    assert NumericalSemigroup(tuple(gens)).contains(x) == dp_members(gens, x)[x]
+
+
+def test_membership_matches_dynamic_program_on_small_triples():
+    for gens in combinations_with_replacement(range(1, 17), 3):
+        s = NumericalSemigroup(gens)
+        members = dp_members(gens, 200)
+        for x in range(201):
+            assert s.contains(x) == members[x], (gens, x)
+
+
+def test_sdn_membership_matches_dynamic_program_exhaustively():
+    for d in range(1, 15):
+        for n in range(1, d + 1):
+            s = sdn_generators(d, n)
+            members = dp_members(s.generators, 2000)
+            for x in range(2001):
+                assert s.contains(x) == members[x], (d, n, x)
+
+
+@given(generator_lists, st.integers(0, 10 ** 30))
+def test_membership_is_periodic_past_the_least_generator(gens, x):
+    # adding the least generator keeps membership, at any size of query
+    s = NumericalSemigroup(tuple(gens))
+    if s.contains(x):
+        assert s.contains(x + min(gens))
