@@ -21,13 +21,14 @@ class UsageError(ValueError):
     """Bad flag value; rendered with the offending flag name, exit code 2."""
 
 
-# Input caps that bound time and memory.  On a 2-CPU x86_64 host with
-# Python 3.11, `hypersurface --d 17 --n 17` enumerates all 2^17 fiber subsets
-# in about 1.5 s (d = 18 takes 3.6 s) and `witness --e 10^12` scans about
-# 5 * 10^5 factors in about 0.8 s.  `semigroup` shares the cap on --d, which
-# also bounds its O(k * d) Apery-set precompute.
+# Input caps that bound time and memory, timed on a 2-CPU x86_64 host with
+# Python 3.11: `hypersurface --d 17 --n 17` about 0.4 s cold, `witness --e 10^12`
+# about 0.8 s, 64 samples of height 10^100 about 4 s.  `semigroup` shares the
+# cap on --d, which also bounds its O(k * d) Apery-set precompute.
 MAX_D = 17
 MAX_E = 10 ** 12
+MAX_SAMPLES = 64
+MAX_HEIGHT_DIGITS = 100  # sample numerators and denominators at most 10^100
 
 
 def _positive(value: int, flag: str, cap: int | None = None) -> int:
@@ -227,12 +228,19 @@ def render_report(report: dict, output_format: str) -> str:
 
 
 def _parse_samples(text: str) -> tuple:
-    try:
-        values = tuple(Fraction(part) for part in text.split(","))
+    parts = text.split(",")
+    try:  # read each exponent before Fraction expands it to 10**exponent
+        huge = len(parts) > MAX_SAMPLES or any(
+            abs(int(p.lower().partition("e")[2] or 0)) > MAX_HEIGHT_DIGITS for p in parts)
+        values = () if huge else tuple(Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--samples must be comma-separated rationals: {exc}")
-    if not values:
-        raise UsageError("--samples must name at least one sample")
+    cap = 10 ** MAX_HEIGHT_DIGITS
+    if huge or any(abs(t.numerator) > cap or t.denominator > cap for t in values):
+        raise UsageError(f"--samples takes at most {MAX_SAMPLES} values, each of "
+                         f"height at most 10^{MAX_HEIGHT_DIGITS}")
+    if 0 in values or len(set(values)) != len(values):
+        raise UsageError("--samples must be pairwise distinct nonzero values")
     return values
 
 
@@ -262,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-construction",
                            help="full exact-arithmetic construction suite")
     p_ver.add_argument("--samples", type=str, default="1,2,3,5,7",
-                       help="comma-separated distinct nonzero rational samples; "
-                            "a list that starts with a negative sample must be "
-                            "written --samples=-1,2")
+                       help=f"at most {MAX_SAMPLES} distinct nonzero rationals of "
+                            f"height at most 10^{MAX_HEIGHT_DIGITS}, comma-separated; "
+                            "a list that starts with a negative one needs --samples=-1,2")
     p_ver.add_argument("--json", action="store_true")
 
     p_wit = sub.add_parser("witness", help="witness-family arithmetic")
@@ -288,12 +296,7 @@ def run_command(args: argparse.Namespace) -> dict:
             raise UsageError(f"--query must be nonnegative, got {args.query}")
         return run_semigroup(d, n, args.query)
     if args.subcommand == "verify-construction":
-        samples = _parse_samples(args.samples)
-        if any(t == 0 for t in samples):
-            raise UsageError("--samples must not contain 0")
-        if len(set(samples)) != len(samples):
-            raise UsageError("--samples must be pairwise distinct values")
-        return run_verify_construction(samples)
+        return run_verify_construction(_parse_samples(args.samples))
     if args.subcommand == "witness":
         a = _positive(args.a, "--a")
         b = _positive(args.b, "--b")

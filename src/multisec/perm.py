@@ -3,14 +3,15 @@
 Groups are given by generators on {0, ..., k-1}; full enumeration is a
 capped breadth-first closure, since every group used here is tiny but the
 API must fail loudly rather than hang.  Actions on combinatorial families
-(subsets of a fiber, star-patterns on three blocks) store, per generator,
-the induced index map on an opaque list of point labels; orbits come from
-union-find over those maps.
+(subsets of a fiber as bitmasks, star-patterns on three blocks) store, per
+generator, the induced index map on their points; orbits are breadth-first
+closures over those maps.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from array import array
+from itertools import product
 from typing import Sequence
 
 
@@ -163,18 +164,21 @@ def wreath_product_3_2() -> PermGroup:
 
 
 class GroupAction:
-    """A group acting on an ordered list of opaque point labels."""
+    """A group acting on points 0..n-1, named by `points`, one row per generator."""
 
-    def __init__(self, group: PermGroup, points: Sequence[str],
+    def __init__(self, group: PermGroup, points: Sequence,
                  generator_images: Sequence[Sequence[int]]):
-        points = tuple(points)
-        generator_images = tuple(tuple(row) for row in generator_images)
+        generator_images = tuple(generator_images)
         if len(generator_images) != len(group.generators):
             raise ValueError("one image row per generator required")
         n = len(points)
         for row in generator_images:
-            if sorted(row) != list(range(n)):
-                raise ValueError(f"image row is not a bijection: {row}")
+            hit = bytearray(n)
+            if len(row) == n and n and 0 <= min(row) <= max(row) < n:
+                for im in row:
+                    hit[im] = 1
+            if len(row) != n or 0 in hit:
+                raise ValueError(f"image row is not a bijection: {list(row)}")
         self.group = group
         self.points = points
         self.generator_images = generator_images
@@ -197,53 +201,46 @@ class OrbitDecomposition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(o) for o in self.orbits)
 
-    def label_sets(self) -> list[list[str]]:
-        return [sorted(self.action.points[i] for i in orbit)
-                for orbit in self.orbits]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "orbits": self.label_sets(),
-            "sizes": list(self.sizes()),
-            "transitive": self.transitive,
-        }
-
 
 def orbit_decomposition(action: GroupAction) -> OrbitDecomposition:
-    """Union-find over the generator image maps; deterministic output."""
-    n = len(action.points)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for row in action.generator_images:
-        for i, im in enumerate(row):
-            ri, rm = find(i), find(im)
-            if ri != rm:
-                parent[max(ri, rm)] = min(ri, rm)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    orbits = [tuple(groups[root]) for root in sorted(groups)]
+    """Breadth-first closures under the generator rows, by least point, sorted."""
+    rows = action.generator_images
+    seen = bytearray(len(action.points))
+    orbits = []
+    for start in range(len(seen)):
+        if not seen[start]:
+            seen[start] = 1
+            orbit = [start]
+            for x in orbit:  # grows as walked; a finite group's inverses are powers
+                for row in rows:
+                    y = row[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
+            orbits.append(sorted(orbit))
     return OrbitDecomposition(action, orbits)
 
 
 def induced_subset_action(d: int, i: int) -> GroupAction:
-    """The symmetric group on d points acting on its i-element subsets."""
-    if not 1 <= i <= d:
-        raise BadIndex(f"subset size {i} out of range 1..{d}")
-    group = symmetric_group(d)
-    subsets = list(combinations(range(d), i))
-    index = {s: k for k, s in enumerate(subsets)}
-    labels = ["{" + ",".join(map(str, s)) + "}" for s in subsets]
-    rows = []
-    for g in group.generators:
-        rows.append([index[tuple(sorted(g(x) for x in s))] for s in subsets])
-    return GroupAction(group, labels, rows)
+    """The symmetric group on d <= 64 points acting on its i-element subsets.
+
+    Point k is the k-th i-subset in colex order, the d-bit mask points[k], as
+    Gosper's hack lists them (Knuth, TAOCP 4A, 7.2.1.3).  The swap of 0 and 1
+    exchanges bits 0 and 1; the d-cycle x -> x + 1 rotates left in d bits.
+    """
+    if not 1 <= i <= d <= 64:
+        raise BadIndex(f"subset size {i} out of range 1..{d}, or d above 64")
+    masks, m, full = array("Q"), (1 << i) - 1, (1 << d) - 1
+    while m <= full:
+        masks.append(m)
+        low = m & -m
+        m = (m + low) | ((m ^ (m + low)) >> 2) // low
+    index = {m: k for k, m in enumerate(masks)}
+    rotate = array("I", [index[m << 1 & full | m >> d - 1] for m in masks])
+    if d == 1:  # the one generator of S_1, the identity, is a 1-bit rotation
+        return GroupAction(symmetric_group(1), masks, [rotate])
+    swap = array("I", [index[m ^ 3 if (m ^ m >> 1) & 1 else m] for m in masks])
+    return GroupAction(symmetric_group(d), masks, [swap, rotate])
 
 
 def cube_strata_action(wildcards: int) -> GroupAction:
@@ -259,7 +256,6 @@ def cube_strata_action(wildcards: int) -> GroupAction:
     patterns = [pat for pat in product((1, 2, "*"), repeat=3)
                 if sum(1 for x in pat if x == "*") == wildcards]
     index = {pat: k for k, pat in enumerate(patterns)}
-    labels = ["(" + ",".join(map(str, pat)) + ")" for pat in patterns]
     rows = []
     for gen in _wreath_semantic_generators():
         kind, data = gen
@@ -277,4 +273,4 @@ def cube_strata_action(wildcards: int) -> GroupAction:
                 out[new_slot - 1] = new_symbol
             row.append(index[tuple(out)])
         rows.append(row)
-    return GroupAction(group, labels, rows)
+    return GroupAction(group, patterns, rows)

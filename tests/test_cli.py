@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -174,6 +176,21 @@ def test_semigroup_query_of_a_million_stays_small(capsys):
     assert json.loads(capsys.readouterr().out)["results"]["contains"] is True
 
 
+def test_hypersurface_at_the_d_cap_stays_small(capsys):
+    # every stratum of d = 17 holds its image rows: traced peak 17.6 MiB with
+    # tuple-coded subsets and label strings, about 4 MiB with bitmasks
+    tracemalloc.start()
+    try:
+        assert cli.main(["hypersurface", "--d", "17", "--n", "17", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "verified"
+    assert payload["results"]["divisors"] == [comb(17, i) for i in range(1, 18)]
+
+
 @pytest.mark.parametrize("subcommand", [["hypersurface"], ["semigroup", "--query", "3"]])
 def test_d_above_cap_exits_2_and_names_flag(subcommand, monkeypatch, capsys):
     assert cli.MAX_D >= 14  # the largest d the benchmark runs
@@ -206,3 +223,44 @@ def test_e_above_cap_exits_2_at_once(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "--e" in captured.err
     assert captured.out == ""
+
+
+def _refuse_derivation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("derivation started past a --samples cap")
+    monkeypatch.setattr(cli, "run_verify_construction", refuse)
+
+
+@pytest.mark.parametrize("samples", [
+    "1e5000",                  # ran 10 s, then a traceback with exit 1
+    "1e100000000",             # hung in Fraction() building 10^(10^8)
+    f"2,1e-{cli.MAX_HEIGHT_DIGITS + 1}",
+    str(10 ** cli.MAX_HEIGHT_DIGITS + 1),
+    f"-{10 ** cli.MAX_HEIGHT_DIGITS + 1}",
+    f"1/{10 ** cli.MAX_HEIGHT_DIGITS + 1}",
+    "0." + "0" * cli.MAX_HEIGHT_DIGITS + "1",
+    ",".join(str(k) for k in range(1, cli.MAX_SAMPLES + 2)),
+])
+def test_samples_past_a_cap_exit_2_at_once(samples, monkeypatch, capsys):
+    _refuse_derivation(monkeypatch)
+    start = time.perf_counter()
+    assert cli.main(["verify-construction", "--samples=" + samples]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err
+    assert captured.out == ""
+
+
+def test_samples_at_the_caps_are_accepted(monkeypatch):
+    seen = []
+    def record(samples):
+        seen.append(samples)
+        return {"subcommand": "verify-construction", "inputs": {}, "results": {},
+                "verdict": "verified"}
+    monkeypatch.setattr(cli, "run_verify_construction", record)
+    cap = 10 ** cli.MAX_HEIGHT_DIGITS
+    samples = [f"1e{cli.MAX_HEIGHT_DIGITS}", f"-1/{cap}", f"{cap - 1}/{cap}"]
+    samples += [str(k) for k in range(2, cli.MAX_SAMPLES - 1)]
+    assert len(samples) == cli.MAX_SAMPLES
+    assert cli.main(["verify-construction", "--samples=" + ",".join(samples)]) == 0
+    assert seen[0][:3] == (Fraction(cap), Fraction(-1, cap), Fraction(cap - 1, cap))

@@ -1,9 +1,45 @@
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multisec import perm
+
+
+# The tuple-based subset action and the union-find orbits that the bitmask
+# action and the breadth-first orbits replaced, kept as oracles.
+
+def tuple_subset_action(d, i):
+    """S_d on i-subsets as sorted tuples in lex order, images sorted back."""
+    group = perm.symmetric_group(d)
+    subsets = list(combinations(range(d), i))
+    index = {s: k for k, s in enumerate(subsets)}
+    rows = [[index[tuple(sorted(g(x) for x in s))] for s in subsets]
+            for g in group.generators]
+    return subsets, rows
+
+
+def union_find_orbits(action):
+    """Orbits by union-find over the image rows, sorted, by least point."""
+    n = len(action.points)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row in action.generator_images:
+        for i, im in enumerate(row):
+            ri, rm = find(i), find(im)
+            if ri != rm:
+                parent[max(ri, rm)] = min(ri, rm)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(groups[root]) for root in sorted(groups))
 
 
 def test_permutation_composition_and_inverse():
@@ -63,6 +99,8 @@ def test_induced_subset_action_bad_index():
         perm.induced_subset_action(5, 0)
     with pytest.raises(perm.BadIndex):
         perm.induced_subset_action(5, 6)
+    with pytest.raises(perm.BadIndex):  # masks are 64-bit
+        perm.induced_subset_action(65, 1)
 
 
 def test_full_subset_action_is_trivial():
@@ -125,13 +163,40 @@ def test_group_action_validates_bijections():
         perm.GroupAction(group, ["a", "b"], [[0, 0], [0, 1]])
     with pytest.raises(ValueError):
         perm.GroupAction(group, ["a", "b"], [[0, 1]])  # one row per generator
+    cycle = perm.PermGroup(3, [perm.Permutation((1, 2, 0))])
+    for row in ([1, 2, 3], [-1, 0, 1], [0, 1], [0, 1, 2, 0]):
+        with pytest.raises(ValueError):
+            perm.GroupAction(cycle, "abc", [row])
 
 
-def test_orbit_json_sorted_labels():
-    dec = perm.orbit_decomposition(perm.cube_strata_action(2))
-    payload = dec.to_json_dict()
-    assert payload["transitive"] is True
-    assert payload["sizes"] == [6]
-    labels = payload["orbits"][0]
-    assert labels == sorted(labels)
-    assert "(1,*,*)" in labels
+def test_subset_action_matches_tuple_oracle_image_by_image():
+    # every d <= 10 and i <= d: the masks are the i-subsets in colex order,
+    # and under mask <-> sorted tuple each generator row is the oracle's
+    for d in range(1, 11):
+        for i in range(1, d + 1):
+            action = perm.induced_subset_action(d, i)
+            subsets, oracle_rows = tuple_subset_action(d, i)
+            as_tuples = [tuple(b for b in range(d) if m >> b & 1)
+                         for m in action.points]
+            assert as_tuples == sorted(subsets, key=lambda s: s[::-1])
+            oracle_index = {s: k for k, s in enumerate(subsets)}
+            to_oracle = [oracle_index[s] for s in as_tuples]
+            assert len(action.generator_images) == len(oracle_rows)
+            for row, oracle_row in zip(action.generator_images, oracle_rows):
+                assert [to_oracle[im] for im in row] == [
+                    oracle_row[k] for k in to_oracle]
+
+
+@st.composite
+def random_actions(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    group = perm.PermGroup(n, [perm.Permutation(r) for r in rows])
+    return perm.GroupAction(group, range(n), rows)
+
+
+@settings(max_examples=300)
+@given(random_actions())
+def test_breadth_first_orbits_equal_union_find(action):
+    # non-transitive actions included: one generator, or the identity
+    assert perm.orbit_decomposition(action).orbits == union_find_orbits(action)
