@@ -23,8 +23,10 @@ class UsageError(ValueError):
 
 # Input caps that bound time and memory, timed on a 2-CPU x86_64 host with
 # Python 3.11: `hypersurface --d 17 --n 17` about 0.4 s cold, `witness --e 10^12`
-# about 0.8 s, 64 samples of height 10^100 about 4 s.  `semigroup` shares the
-# cap on --d, which also bounds its O(k * d) Apery-set precompute.
+# about 0.8 s, 64 samples of height 10^100 about 0.8 s.  `semigroup` shares the
+# cap on --d, which also bounds its O(k * d) Apery-set precompute; `witness`
+# --a and --b share the cap on --e, which keeps n = 4ab far below the digit
+# limit on printing integers.
 MAX_D = 17
 MAX_E = 10 ** 12
 MAX_SAMPLES = 64
@@ -276,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--json", action="store_true")
 
     p_wit = sub.add_parser("witness", help="witness-family arithmetic")
-    p_wit.add_argument("--a", type=int, required=True)
-    p_wit.add_argument("--b", type=int, required=True)
+    p_wit.add_argument("--a", type=int, required=True, help=f"at most {MAX_E}")
+    p_wit.add_argument("--b", type=int, required=True, help=f"at most {MAX_E}")
     p_wit.add_argument("--e", type=int, default=None, help=f"at most {MAX_E}")
     p_wit.add_argument("--json", action="store_true")
 
@@ -298,8 +300,8 @@ def run_command(args: argparse.Namespace) -> dict:
     if args.subcommand == "verify-construction":
         return run_verify_construction(_parse_samples(args.samples))
     if args.subcommand == "witness":
-        a = _positive(args.a, "--a")
-        b = _positive(args.b, "--b")
+        a = _positive(args.a, "--a", MAX_E)
+        b = _positive(args.b, "--b", MAX_E)
         e = args.e if args.e is None else _positive(args.e, "--e", MAX_E)
         return run_witness(a, b, e)
     raise UsageError(f"unknown subcommand {args.subcommand!r}")

@@ -8,9 +8,10 @@ by scaling S1 and on the six target coordinates X+0..X-2 with weights
 odd coordinates are the X- block.
 
 Everything is verified by exact arithmetic: equivariance by degree
-bookkeeping, the derived dual map by cyclotomic nullspaces, the quadratic
-pullback table by polynomial expansion and an exact rank computation, and
-the norm map by expanding the product over the deck transformations.
+bookkeeping, the derived dual map by rational and cyclotomic nullspaces on
+the fiber, the quadratic pullback table by polynomial expansion and an
+exact rank computation, and the norm map by expanding the product over the
+deck transformations.
 
 The canonical fixtures (the printed and the corrected six-entry vectors)
 are stored as plain text in ``fixtures/curve_maps.txt`` together with
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import lcm
 from typing import Sequence
 
 from .exactalg import (
@@ -64,30 +66,6 @@ class SampleZero(ValueError):
 
 class InternalNonRational(ArithmeticError):
     """A deck-invariant product failed to be rational: an arithmetic bug."""
-
-
-@dataclass(frozen=True)
-class MonomialCover:
-    """The self-cover of the line raising both coordinates to a power."""
-
-    degree: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("cover degree must be >= 1")
-
-    def compose(self, other: "MonomialCover") -> "MonomialCover":
-        return MonomialCover(self.degree * other.degree)
-
-    def fiber(self, t) -> list[tuple[Cyclotomic, Cyclotomic]]:
-        """The points [zeta^k t, 1] over the image of [t, 1], t nonzero."""
-        t = Fraction(t)
-        if t == 0:
-            raise SampleZero("fiber over the totally ramified point")
-        zeta = Cyclotomic.zeta(self.degree)
-        base = Cyclotomic.from_rational(self.degree, t)
-        one = Cyclotomic.one(self.degree)
-        return [(zeta ** k * base, one) for k in range(self.degree)]
 
 
 @dataclass(frozen=True)
@@ -291,14 +269,20 @@ def monomial_norm(p: SparseMultiPoly, d: int,
 
 
 def projective_equal(u: Sequence, v: Sequence) -> bool:
-    """Equality in projective space by cross-multiplication, never division."""
+    """Equality in projective space by cross-multiplication, never division.
+
+    With p the first nonzero slot of u, u and v are proportional iff
+    u_i v_p = u_p v_i for every other slot i: were v_p zero, those
+    equations would make v zero, and the zero vector is rejected first.
+    """
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError("length mismatch")
     if all(scalar_is_zero(x) for x in u) or all(scalar_is_zero(x) for x in v):
         return False
-    return all(u[i] * v[k] == u[k] * v[i]
-               for i in range(len(u)) for k in range(i + 1, len(u)))
+    p = next(i for i, x in enumerate(u) if not scalar_is_zero(x))
+    up, vp = u[p], v[p]
+    return all(u[i] * vp == up * v[i] for i in range(len(u)) if i != p)
 
 
 def dual_point_on_fiber(curve_map: ProjectiveCurveMap,
@@ -352,6 +336,45 @@ class JPrimeComparison:
 
 DEFAULT_JPRIME_SAMPLES = (1, 2, 3, 5, 7)
 
+# zeta_6^m in the basis {1, zeta_6} of Q(zeta_6), where zeta_6^2 = zeta_6 - 1
+_ZETA6_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+def _residue_classes(curve_map: ProjectiveCurveMap) -> tuple[int, list]:
+    """Each entry's terms as integer (a, c) lists by S0-degree a mod 6.
+
+    The coefficients are scaled by the lcm of their denominators, and
+    `as_fraction` raises ValueError on one outside Q.  The largest a comes
+    first in the result.
+    """
+    terms = [[(exps[0], as_fraction(c)) for exps, c in e.terms.items()]
+             for e in curve_map.entries]
+    scale = lcm(*(c.denominator for entry in terms for _, c in entry))
+    classes = [[[(a, c.numerator * (scale // c.denominator)) for a, c in entry if a % 6 == r]
+                for r in range(6)] for entry in terms]
+    return max(a for entry in terms for a, _ in entry), classes
+
+
+def _fiber_values(top: int, classes: list, t: Fraction) -> list[list[tuple[int, int]]]:
+    """The entries at [zeta_6^k t, 1], k = 0..5, as pairs (A, B) = A + B zeta_6.
+
+    Each point's vector is scaled by q^top for t = p/q: the terms c S0^a of
+    class r sum to the integer Q_r = sum c p^a q^(top - a), and the entry
+    at point k is sum_r Q_r zeta^(kr).
+    """
+    p, q = t.numerator, t.denominator
+    weights = [p ** a * q ** (top - a) for a in range(top + 1)]
+    sums = [[(r, sum(c * weights[a] for a, c in terms))
+             for r, terms in enumerate(entry) if terms] for entry in classes]
+    return [[(sum(_ZETA6_POWERS[k * r % 6][0] * q_r for r, q_r in entry),
+              sum(_ZETA6_POWERS[k * r % 6][1] * q_r for r, q_r in entry))
+             for entry in sums] for k in range(6)]
+
+
+def _in_field(pairs: Sequence[tuple[int, int]]) -> list:
+    # rational values stay integers; the rest become elements of Q(zeta_6)
+    return [Cyclotomic(6, pair) if pair[1] else pair[0] for pair in pairs]
+
 
 def derive_jprime_and_compare(j: ProjectiveCurveMap,
                               candidate: ProjectiveCurveMap,
@@ -367,10 +390,17 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
     point must equal the candidate at s up to a single scalar.
 
     Partners s, -s share those four hyperplanes, so each pair (k, k + 3)
-    solves one 4 x 6 nullspace, a pencil {u, w}, and each point's own row
-    r picks (r.w) u - (r.u) w from it.  The five rows have full rank iff
-    the nullspace is 2-dimensional and that point is nonzero; otherwise
+    has one 4 x 6 nullspace, a pencil {u, w}, and each point's own row r
+    picks (r.w) u - (r.u) w from it.  The five rows have full rank iff the
+    nullspace is 2-dimensional and that point is nonzero; otherwise
     DegenerateFiber is raised.  Checks come in sample, then fiber order.
+
+    Both maps must have rational coefficients, so complex conjugation
+    sigma (zeta -> zeta^-1) takes point k to point -k.  Rows 1, 2, 4, 5
+    are then two conjugate pairs: writing r = A + zeta B, the rational
+    rows A, B of points 1 and 2 span the same space, so pair 0's pencil
+    is a nullspace over Q.  Pair 2's rows are sigma of pair 1's, so its
+    echelon pencil is sigma of pair 1's, vector for vector.
     """
     if len(j.entries) != 6 or len(candidate.entries) != 6:
         raise ValueError("expected six-entry maps")
@@ -380,13 +410,18 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
     if len(set(samples)) != len(samples):
         raise ValueError("samples must be pairwise distinct")
     signs = standard_weight_action().involution_signs()
-    cover = MonomialCover(6)
+    j_classes, candidate_classes = _residue_classes(j), _residue_classes(candidate)
     checks = []
     for t in samples:
-        fiber = cover.fiber(t)
-        rows = [_hyperplane_row(j, point, signs) for point in fiber]
-        pencils = [exact_matrix_nullspace(ExactMatrix(
-            [row for i, row in enumerate(rows) if i % 3 != pair])) for pair in range(3)]
+        pairs = [[(s * x, s * y) for s, (x, y) in zip(signs, row)]
+                 for row in _fiber_values(*j_classes, t)]
+        rows = [_in_field(row) for row in pairs]
+        rational = [[pair[i] for pair in pairs[k]] for k in (1, 2) for i in (0, 1)]
+        pencil = exact_matrix_nullspace(ExactMatrix([rows[k] for k in (0, 2, 3, 5)]))
+        pencils = (exact_matrix_nullspace(ExactMatrix(rational)), pencil,
+                   [tuple(x.galois(-1) if isinstance(x, Cyclotomic) else x for x in v)
+                    for v in pencil])
+        values = _fiber_values(*candidate_classes, t)
         for k in range(6):
             # four rows in six columns leave a nullspace of dimension >= 2
             u, w, *excess = pencils[k % 3]
@@ -397,7 +432,7 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
                     f"hyperplane rows at fiber point {k} of sample {t} "
                     f"have rank below 5")
             dual = tuple(a * x - b * y for x, y in zip(u, w))
-            matched = projective_equal(dual, candidate.evaluate(fiber[k]))
+            matched = projective_equal(dual, _in_field(values[k]))
             checks.append(JPrimeCheck(t, k, matched))
     return JPrimeComparison(samples, tuple(checks))
 
@@ -411,9 +446,6 @@ class PullbackTable:
 
     rows: tuple[tuple[tuple[str, str], SparseMultiPoly], ...]
     rank: int
-
-    def row_map(self) -> dict[tuple[str, str], SparseMultiPoly]:
-        return dict(self.rows)
 
 
 def quadratic_pullback_table(jprime: ProjectiveCurveMap) -> PullbackTable:

@@ -2,29 +2,18 @@
 
 from .scalars import (
     Cyclotomic,
-    Rational,
     as_fraction,
     cyclotomic_polynomial,
     euler_phi,
     scalar_is_zero,
 )
 from .poly import SparseMultiPoly, binary_form_gcd, parse_poly
-from .matrix import (
-    AT_INFINITY,
-    ExactMatrix,
-    TooManyPoints,
-    exact_matrix_nullspace,
-    exact_matrix_rank,
-    vandermonde_general_position,
-)
+from .matrix import ExactMatrix, exact_matrix_nullspace, exact_matrix_rank
 
 __all__ = [
-    "AT_INFINITY",
     "Cyclotomic",
     "ExactMatrix",
-    "Rational",
     "SparseMultiPoly",
-    "TooManyPoints",
     "as_fraction",
     "binary_form_gcd",
     "cyclotomic_polynomial",
@@ -33,5 +22,4 @@ __all__ = [
     "exact_matrix_rank",
     "parse_poly",
     "scalar_is_zero",
-    "vandermonde_general_position",
 ]

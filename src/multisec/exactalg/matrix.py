@@ -1,4 +1,4 @@
-"""Exact dense matrices: rank, right nullspace, Vandermonde rank tests.
+"""Exact dense matrices: rank and right nullspace.
 
 Elimination is fraction-free in the Bareiss style: each update divides by
 the previous pivot, which is an exact division (the intermediate entries
@@ -15,10 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .scalars import scalar_is_zero
-
-
-class TooManyPoints(ValueError):
-    """More parameters than a rational normal curve of degree n can carry."""
 
 
 class ExactMatrix:
@@ -107,30 +103,3 @@ def exact_matrix_nullspace(m: ExactMatrix) -> list[tuple[object, ...]]:
             v[p] = -acc / rows[k][p]
         basis.append(tuple(v))
     return basis
-
-
-AT_INFINITY = object()  # the point at infinity on the projective line
-
-
-def vandermonde_general_position(n: int, params: Sequence[object]) -> bool:
-    """Whether points of the projective line embed independently in degree n.
-
-    The row for a finite parameter t is (1, t, ..., t^n); the point at
-    infinity contributes (0, ..., 0, 1).  Returns True iff the rows are
-    linearly independent, which holds exactly when the parameters are
-    pairwise distinct.
-    """
-    params = list(params)
-    if len(params) > n + 1:
-        raise TooManyPoints(
-            f"{len(params)} points exceed n+1 = {n + 1}")
-    if not params:
-        return True
-    rows = []
-    for t in params:
-        if t is AT_INFINITY:
-            rows.append([Fraction(0)] * n + [Fraction(1)])
-        else:
-            t = Fraction(t) if isinstance(t, int) else t
-            rows.append([t ** k for k in range(n + 1)])
-    return exact_matrix_rank(ExactMatrix(rows)) == len(params)

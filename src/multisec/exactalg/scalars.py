@@ -3,7 +3,7 @@
 Rationals are plain ``fractions.Fraction`` values.  Fraction already keeps
 the normal form the rest of the package relies on (gcd-reduced numerator
 over a positive denominator, unbounded integers), so no wrapper type is
-introduced; ``Rational`` is an alias.
+introduced.
 
 A cyclotomic number of conductor d is an element of Q[z]/(Phi_d(z)) where
 Phi_d is the d-th cyclotomic polynomial.  It is stored as the canonical
@@ -13,9 +13,11 @@ integer denominator, with the gcd of all of them equal to 1.  The form is
 unique, so equality is tuple equality.  A product is an integer
 convolution of the numerators folded back below degree phi(d) by a cached
 table of x^m mod Phi_d (0 <= m < d, since x^d = 1); Phi_d is monic, so the
-table is integral.  An inverse is the product of the conjugates sigma_k(a),
-k in (Z/d)^* other than 1 (each read off the same table), over the integer
-norm N(a) = a * prod sigma_k(a): integer arithmetic only.  Phi_d itself is
+table is integral.  The Galois automorphism sigma_k (z -> z^k, k a unit
+mod d) is read off the same table; it maps Z[z] onto itself, so it keeps
+the normal form.  An inverse is the product of the conjugates sigma_k(a),
+k in (Z/d)^* other than 1, over the integer norm N(a) = a * prod
+sigma_k(a): integer arithmetic only.  Phi_d itself is
 computed by the recursive quotient
 
     Phi_d(x) = (x^d - 1) / prod(Phi_e(x) for e | d, e < d)
@@ -32,8 +34,6 @@ from math import gcd, lcm
 from typing import Union
 
 from .univariate import quo_rem
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -243,18 +243,26 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
+    def galois(self, k: int) -> "Cyclotomic":
+        """The conjugate sigma_k(self) under z -> z^k, for k a unit mod d."""
+        d, a = self.conductor, self.numerators
+        if gcd(k, d) != 1:
+            raise ValueError(f"{k} is not a unit mod {d}")
+        conj, powers = [0] * len(a), _power_rows(d)
+        for i, c in enumerate(a):
+            for m, r in enumerate(powers[i * k % d]):
+                conj[m] += c * r
+        return Cyclotomic._make(d, conj, self.denominator)
+
     def inverse(self) -> "Cyclotomic":
         """The norm form: the product of the other conjugates over N(self)."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
         d, a = self.conductor, self.numerators
-        powers = _power_rows(d)
         others = [1] + [0] * (len(a) - 1)
         for k in range(2, d):
             if gcd(k, d) == 1:
-                conj = [sum(c * powers[i * k % d][m] for i, c in enumerate(a))
-                        for m in range(len(a))]
-                others = _mul_numerators(d, others, conj)
+                others = _mul_numerators(d, others, self.galois(k).numerators)
         # a * others is the integer norm N of the numerator vector, so the
         # inverse is den * others / N, with N's sign moved up to keep den > 0
         norm = _mul_numerators(d, a, others)[0]

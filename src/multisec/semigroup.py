@@ -83,9 +83,5 @@ def sdn_generators(d: int, n: int) -> NumericalSemigroup:
     return NumericalSemigroup(tuple(comb(d, i) for i in range(1, min(d, n) + 1)))
 
 
-def semigroup_contains(s: NumericalSemigroup, x: int) -> bool:
-    return s.contains(x)
-
-
 def semigroup_min_and_gcd(s: NumericalSemigroup) -> tuple[int, int]:
     return s.min_positive(), s.gcd()

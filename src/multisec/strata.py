@@ -12,7 +12,7 @@ so it never claims more than the combinatorics gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import comb, gcd
 
 from . import perm
@@ -33,18 +33,18 @@ class EmptyModel(ValueError):
 
 @dataclass(frozen=True)
 class StratumClass:
-    """A named stratum with its (transitive) component action."""
+    """A named stratum; its transitive action, init-only, gives the divisor."""
 
     name: str
-    action: perm.GroupAction
+    action: InitVar[perm.GroupAction]
     divisor: int = field(init=False)
 
-    def __post_init__(self):
-        dec = perm.orbit_decomposition(self.action)
+    def __post_init__(self, action):
+        dec = perm.orbit_decomposition(action)
         if not dec.transitive:
             raise NotTransitive(
                 f"stratum {self.name}: action has {len(dec.orbits)} orbits")
-        object.__setattr__(self, "divisor", len(self.action.points))
+        object.__setattr__(self, "divisor", len(action.points))
 
 
 @dataclass(frozen=True)

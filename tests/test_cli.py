@@ -177,8 +177,9 @@ def test_semigroup_query_of_a_million_stays_small(capsys):
 
 
 def test_hypersurface_at_the_d_cap_stays_small(capsys):
-    # every stratum of d = 17 holds its image rows: traced peak 17.6 MiB with
-    # tuple-coded subsets and label strings, about 4 MiB with bitmasks
+    # d = 17 builds the image rows of every stratum: traced peak 17.6 MiB with
+    # tuple-coded subsets and label strings, about 4.2 MiB with bitmasks while
+    # each stratum kept its action, about 3.4 MiB now that each is freed
     tracemalloc.start()
     try:
         assert cli.main(["hypersurface", "--d", "17", "--n", "17", "--json"]) == 0
@@ -223,6 +224,34 @@ def test_e_above_cap_exits_2_at_once(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "--e" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+@pytest.mark.parametrize("value", [
+    str(cli.MAX_E + 1),
+    "9" * 3000,  # printed a traceback with exit 1 as n = 4ab was rendered
+])
+def test_witness_block_size_above_cap_exits_2_and_names_flag(flag, value, monkeypatch,
+                                                             capsys):
+    def refuse(*args):
+        raise AssertionError("witness arithmetic started past the cap")
+    monkeypatch.setattr(cli.witness, "witness_parameters", refuse)
+    monkeypatch.setattr(cli.witness, "choose_ab_and_certify", refuse)
+    sizes = {"--a": "1", "--b": "1", flag: value}
+    for extra in ([], ["--e", "4"]):
+        assert cli.main(["witness", "--a", sizes["--a"], "--b", sizes["--b"],
+                         *extra, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be at most {cli.MAX_E}" in captured.err
+        assert captured.out == ""
+
+
+def test_witness_block_sizes_at_cap_answer(capsys):
+    cap = str(cli.MAX_E)
+    assert cli.main(["witness", "--a", cap, "--b", cap, "--e", cap, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["n"] == 4 * cli.MAX_E ** 2
+    assert payload["verdict"] == "verified"
 
 
 def _refuse_derivation(monkeypatch):

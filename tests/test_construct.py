@@ -9,7 +9,6 @@ from multisec.construct import (
     SOURCE_VARS,
     DegenerateFiber,
     MixedTermNonzero,
-    MonomialCover,
     NotDescendable,
     ProjectiveCurveMap,
     SampleZero,
@@ -34,6 +33,8 @@ from multisec.construct import (
     standard_weight_action,
 )
 from multisec.exactalg import SparseMultiPoly, parse_poly
+
+from test_pencil_oracle import DEGENERATE_MAPS, MonomialCover
 
 
 def S(text):
@@ -251,20 +252,7 @@ def test_dual_point_repeated_point_degenerate():
         dual_point_on_fiber(j, points)
 
 
-@pytest.mark.parametrize("entries, pencil_dim", [
-    # every entry a multiple of one quintic: the rows have rank 1
-    (("S0^5 + 2*S0^3*S1^2 - S1^5", "-2*S0^5 - 4*S0^3*S1^2 + 2*S1^5",
-      "3*S0^5 + 6*S0^3*S1^2 - 3*S1^5", "1/2*S0^5 + S0^3*S1^2 - 1/2*S1^5",
-      "-S0^5 - 2*S0^3*S1^2 + S1^5", "7/3*S0^5 + 14/3*S0^3*S1^2 - 7/3*S1^5"), 5),
-    # four quintics: the shared rows leave a pencil, but the own row lies
-    # in their span, so the dual point the pencil gives is zero
-    (("S0^5", "S0^4*S1", "S0^3*S1^2", "S0^2*S1^3",
-      "S0^5 + S0^4*S1", "S0^3*S1^2 - 3*S0^2*S1^3"), 2),
-    # four quintics the shared points do not separate: the own row lies
-    # outside the span of the shared rows, but those leave more than a pencil
-    (("S1^5", "S0*S1^4", "S0^2*S1^3", "S0^4*S1",
-      "S1^5 - S0*S1^4", "2*S0^2*S1^3 + S0^4*S1"), 3),
-])
+@pytest.mark.parametrize("entries, pencil_dim", DEGENERATE_MAPS)
 def test_derive_jprime_degenerate_maps(entries, pencil_dim):
     from multisec.exactalg import ExactMatrix, exact_matrix_nullspace
 
@@ -387,12 +375,3 @@ def test_pushforward_splitting_section_count():
         for m in range(0, 13):
             twists = pushforward_splitting_type(d, m)
             assert sum(t + 1 for t in twists) == m + 1, (d, m)
-
-
-def test_monomial_cover_composition_and_fiber():
-    fg = MonomialCover(2).compose(MonomialCover(3))
-    assert fg.degree == 6
-    fiber = fg.fiber(Fraction(2))
-    assert len(fiber) == 6
-    with pytest.raises(SampleZero):
-        fg.fiber(0)

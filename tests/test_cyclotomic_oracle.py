@@ -2,9 +2,9 @@
 
 `RefCyclotomic` is the earlier representation, kept here only as the
 oracle: a coefficient tuple over Fraction, reduced modulo Phi_d by long
-division, inverted by an extended gcd over Fraction.  Every operation of
-`Cyclotomic` must give the element the reference gives, with the same
-coefficients, printed forms and hash.
+division, inverted by an extended gcd over Fraction and conjugated by
+substituting x^k.  Every operation of `Cyclotomic` must give the element
+the reference gives, with the same coefficients, printed forms and hash.
 """
 
 from fractions import Fraction
@@ -89,6 +89,13 @@ class RefCyclotomic:
                 nu[i] -= c
             u0, u1 = u1, _trim(nu)
         return RefCyclotomic(self.conductor, [c / r0[0] for c in u0])
+
+    def galois(self, k):
+        # sum c_i x^(ik), reduced by x^d = 1 and then by long division
+        spread = [Fraction(0)] * self.conductor
+        for i, c in enumerate(self.coeffs):
+            spread[i * k % self.conductor] += c
+        return RefCyclotomic(self.conductor, spread)
 
     def __pow__(self, n):
         if n < 0:
@@ -245,3 +252,23 @@ def test_negative_rational_inverse_has_positive_denominator(d, q):
     assert inverse.denominator > 0
     assert gcd(inverse.denominator, *inverse.numerators) == 1
     assert inverse == 1 / q
+
+
+@slow
+@given(pairs(), st.data())
+def test_galois_is_the_reference_automorphism(case, data):
+    d, (u, v) = case
+    k = data.draw(st.integers(-2 * d, 2 * d).filter(lambda k: gcd(k, d) == 1))
+    x, y = Cyclotomic(d, u), Cyclotomic(d, v)
+    assert_same(x.galois(k), RefCyclotomic(d, u).galois(k))
+    assert x.galois(1) == x
+    assert (x + y).galois(k) == x.galois(k) + y.galois(k)
+    assert (x * y).galois(k) == x.galois(k) * y.galois(k)
+
+
+def test_galois_conjugation_at_conductor_six():
+    zeta = Cyclotomic.zeta(6)
+    assert zeta.galois(-1) == zeta.galois(5) == zeta ** 5 == 1 - zeta
+    assert (zeta + zeta.galois(-1)) == 1
+    with pytest.raises(ValueError):
+        zeta.galois(3)

@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multisec.exactalg import (
-    AT_INFINITY,
     Cyclotomic,
     ExactMatrix,
-    TooManyPoints,
     exact_matrix_nullspace,
     exact_matrix_rank,
-    vandermonde_general_position,
 )
 
 
@@ -76,37 +73,6 @@ def test_nullspace_vectors_annihilate(nr, nc, data):
     for v in exact_matrix_nullspace(m):
         for row in m.entries:
             assert sum(a * b for a, b in zip(row, v)) == 0
-
-
-def test_vandermonde_distinct_with_infinity():
-    assert vandermonde_general_position(5, [0, 1, 2, 3, 4, AT_INFINITY])
-
-
-def test_vandermonde_repeated_point():
-    assert not vandermonde_general_position(5, [1, 1])
-    assert not vandermonde_general_position(3, [AT_INFINITY, AT_INFINITY])
-
-
-def test_vandermonde_too_many_points():
-    with pytest.raises(TooManyPoints):
-        vandermonde_general_position(2, [0, 1, 2, 3])
-
-
-@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20),
-                min_size=1, max_size=4, unique=True))
-def test_vandermonde_distinct_quadruples(params):
-    assert vandermonde_general_position(3, params)
-
-
-def test_vandermonde_100_random_distinct_quadruples():
-    import random
-
-    rng = random.Random(20260809)
-    for _ in range(100):
-        seen = set()
-        while len(seen) < 4:
-            seen.add(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
-        assert vandermonde_general_position(3, sorted(seen))
 
 
 def gauss_jordan(rows):

@@ -1,22 +1,34 @@
-"""The shared-pencil derivation against the per-point nullspace.
+"""The Galois-structured derivation against the cyclotomic pencil path.
 
-`derive_jprime_and_compare` solves one 4 x 6 nullspace per partner pair
-of a fiber and picks each point's dual point from that pencil;
+`derive_jprime_and_compare` reads each fiber row off integer residue-class
+sums, solves pair 0's pencil over Q and takes pair 2's as the conjugate
+of pair 1's.  `pencil_oracle` below is the path it replaced: it evaluates
+both maps at the fiber points `MonomialCover(6).fiber(t)` over Q(zeta_6),
+solves one cyclotomic 4 x 6 nullspace per partner pair and compares by
+all 15 cross products.  Both must agree check for check, and fail on a
+degenerate map at the same fiber point with the same message.
+
 `dual_point_on_fiber` solves the full five-row system of one point.  The
-report holds only match flags, so the oracle runs through the candidate:
-for a map j with its entries rescaled by c, the dual map is the closed
-form with its entries rescaled by 1/c.  Where that candidate matches both
-the oracle's dual point and the report, the pencil's dual point equals
-the oracle's.
+report holds only match flags, so that comparison runs through the
+candidate: for a map j with its entries rescaled by c, the dual map is
+the closed form with its entries rescaled by 1/c.  Where that candidate
+matches both the per-point dual point and the report, the derivation's
+dual point equals the per-point one.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multisec.construct import (
-    MonomialCover,
+    QUINTIC_BASIS,
+    SOURCE_VARS,
+    TARGET_LABELS,
+    DegenerateFiber,
     ProjectiveCurveMap,
+    SampleZero,
     corrected_j,
     corrected_jprime,
     derive_jprime_and_compare,
@@ -24,18 +36,137 @@ from multisec.construct import (
     projective_equal,
     standard_weight_action,
 )
+from multisec.exactalg import (
+    Cyclotomic,
+    ExactMatrix,
+    SparseMultiPoly,
+    exact_matrix_nullspace,
+    parse_poly,
+    scalar_is_zero,
+)
+
+
+@dataclass(frozen=True)
+class MonomialCover:
+    """The self-cover of the line raising both coordinates to a power."""
+
+    degree: int
+
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError("cover degree must be >= 1")
+
+    def fiber(self, t) -> list[tuple[Cyclotomic, Cyclotomic]]:
+        """The points [zeta^k t, 1] over the image of [t, 1], t nonzero."""
+        t = Fraction(t)
+        if t == 0:
+            raise SampleZero("fiber over the totally ramified point")
+        zeta = Cyclotomic.zeta(self.degree)
+        base = Cyclotomic.from_rational(self.degree, t)
+        one = Cyclotomic.one(self.degree)
+        return [(zeta ** k * base, one) for k in range(self.degree)]
+
+
+def projective_equal_all_pairs(u, v) -> bool:
+    u, v = tuple(u), tuple(v)
+    if all(scalar_is_zero(x) for x in u) or all(scalar_is_zero(x) for x in v):
+        return False
+    return all(u[i] * v[k] == u[k] * v[i]
+               for i in range(len(u)) for k in range(i + 1, len(u)))
+
+
+def pencil_oracle(j, candidate, samples) -> list[tuple[Fraction, int, bool]]:
+    """(sample, fiber_index, matched) from one cyclotomic pencil per pair."""
+    signs = standard_weight_action().involution_signs()
+    checks = []
+    for t in map(Fraction, samples):
+        fiber = MonomialCover(6).fiber(t)
+        rows = [[s * v for s, v in zip(signs, j.evaluate(point))] for point in fiber]
+        pencils = [exact_matrix_nullspace(ExactMatrix(
+            [row for i, row in enumerate(rows) if i % 3 != pair])) for pair in range(3)]
+        for k in range(6):
+            u, w, *excess = pencils[k % 3]
+            a = sum(x * y for x, y in zip(rows[k], w))
+            b = sum(x * y for x, y in zip(rows[k], u))
+            if excess or (scalar_is_zero(a) and scalar_is_zero(b)):
+                raise DegenerateFiber(
+                    f"hyperplane rows at fiber point {k} of sample {t} "
+                    f"have rank below 5")
+            dual = tuple(a * x - b * y for x, y in zip(u, w))
+            checks.append((t, k, projective_equal_all_pairs(
+                dual, candidate.evaluate(fiber[k]))))
+    return checks
+
+
+def outcome(derive, j, candidate, samples):
+    try:
+        return derive(j, candidate, samples)
+    except DegenerateFiber as exc:
+        return ("degenerate", str(exc))
+
+
+def derived_checks(j, candidate, samples):
+    report = derive_jprime_and_compare(j, candidate, samples)
+    return [(c.sample, c.fiber_index, c.matched) for c in report.checks]
+
+
+# maps whose shared rows fail at fiber point 0, with the dimension of pair
+# 0's nullspace at t = 2
+DEGENERATE_MAPS = [
+    # every entry a multiple of one quintic: the rows have rank 1
+    (("S0^5 + 2*S0^3*S1^2 - S1^5", "-2*S0^5 - 4*S0^3*S1^2 + 2*S1^5",
+      "3*S0^5 + 6*S0^3*S1^2 - 3*S1^5", "1/2*S0^5 + S0^3*S1^2 - 1/2*S1^5",
+      "-S0^5 - 2*S0^3*S1^2 + S1^5", "7/3*S0^5 + 14/3*S0^3*S1^2 - 7/3*S1^5"), 5),
+    # four quintics: the shared rows leave a pencil, but the own row lies
+    # in their span, so the dual point the pencil gives is zero
+    (("S0^5", "S0^4*S1", "S0^3*S1^2", "S0^2*S1^3",
+      "S0^5 + S0^4*S1", "S0^3*S1^2 - 3*S0^2*S1^3"), 2),
+    # four quintics the shared points do not separate: the own row lies
+    # outside the span of the shared rows, but those leave more than a pencil
+    (("S1^5", "S0*S1^4", "S0^2*S1^3", "S0^4*S1",
+      "S1^5 - S0*S1^4", "2*S0^2*S1^3 + S0^4*S1"), 3),
+]
+
+
+def curve_map(entries):
+    return ProjectiveCurveMap(SOURCE_VARS, tuple(parse_poly(e, SOURCE_VARS) for e in entries),
+                              TARGET_LABELS)
+
 
 nonzero = st.one_of(
     st.integers(-10 ** 4, 10 ** 4),
     st.builds(Fraction, st.integers(-999_999, 999_999), st.integers(1, 999_999)),
 ).filter(bool)
+tall = st.builds(Fraction, st.integers(-10 ** 100, 10 ** 100),
+                 st.integers(1, 10 ** 100)).filter(bool)
 scales = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 50))
+edits = st.tuples(st.integers(0, 5), st.sampled_from(QUINTIC_BASIS), st.integers(-3, 3))
 
 
 def rescaled(curve_map, factors):
     return ProjectiveCurveMap(curve_map.source_vars,
                               tuple(c * e for c, e in zip(factors, curve_map.entries)),
                               curve_map.target_labels)
+
+
+def rotated(curve_map, shift):
+    return ProjectiveCurveMap(curve_map.source_vars,
+                              curve_map.entries[shift:] + curve_map.entries[:shift],
+                              curve_map.target_labels)
+
+
+def edited(curve_map, edit):
+    """The map with one coefficient of one entry set to a new value."""
+    if edit is None:
+        return curve_map
+    slot, exps, value = edit
+    entries = list(curve_map.entries)
+    terms = dict(entries[slot].terms)
+    terms[exps] = Fraction(value)
+    entries[slot] = SparseMultiPoly(SOURCE_VARS, terms)
+    if all(e.is_zero() for e in entries):
+        return curve_map
+    return ProjectiveCurveMap(curve_map.source_vars, tuple(entries), curve_map.target_labels)
 
 
 # an exact elimination over Q(zeta_6) with six-digit entries can pass the
@@ -46,9 +177,7 @@ def rescaled(curve_map, factors):
 def test_pencil_dual_points_match_per_point_nullspace(samples, factors, shift):
     j = rescaled(corrected_j(), factors)
     candidate = rescaled(corrected_jprime(), [1 / c for c in factors])
-    rotated = ProjectiveCurveMap(candidate.source_vars,
-                                 candidate.entries[shift:] + candidate.entries[:shift],
-                                 candidate.target_labels)
+    rotation = rotated(candidate, shift)
     signs = standard_weight_action().involution_signs()
     points, duals = [], []
     for t in samples:
@@ -65,8 +194,94 @@ def test_pencil_dual_points_match_per_point_nullspace(samples, factors, shift):
                for point, dual in zip(points, duals))
     assert report.all_match
 
-    report = derive_jprime_and_compare(j, rotated, samples)
+    report = derive_jprime_and_compare(j, rotation, samples)
     assert [(c.sample, c.fiber_index) for c in report.checks] == order
     assert [c.matched for c in report.checks] == [
-        projective_equal(dual, rotated.evaluate(point))
+        projective_equal(dual, rotation.evaluate(point))
         for point, dual in zip(points, duals)]
+
+
+def partly_edited(curve_map, edit, t):
+    """Slot `slot` plus g * (S0^m - t^m S1^m) * S1^(5 - m), unchanged at the
+    fiber points [zeta^k t, 1] with zeta^(km) = 1: k = 0; 0, 3; or 0, 2, 4."""
+    slot, m, g = edit
+    t = Fraction(t)
+    bump = SparseMultiPoly(SOURCE_VARS, {(m, 5 - m): Fraction(g), (0, 5): -g * t ** m})
+    entries = list(curve_map.entries)
+    entries[slot] = entries[slot] + bump
+    return ProjectiveCurveMap(curve_map.source_vars, tuple(entries), curve_map.target_labels)
+
+
+partial_edits = st.tuples(st.integers(0, 5), st.integers(1, 3), st.integers(-3, 3).filter(bool))
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(nonzero, tall), min_size=1, max_size=2, unique_by=Fraction),
+       st.lists(scales, min_size=6, max_size=6), st.one_of(st.just(0), st.integers(1, 5)),
+       st.one_of(st.none(), edits), st.one_of(st.none(), partial_edits),
+       st.one_of(st.none(), edits))
+@example([3], [Fraction(1)] * 6, 0, (4, (3, 2), 2), None, None)  # one slot rescaled
+@example([-2], [Fraction(1)] * 6, 0, None, None, (0, (3, 2), 1))  # two residues in slot 0
+@example([5, 7], [Fraction(1)] * 6, 0, None, (1, 3, 1), None)  # matches at 0, 2, 4 of t = 5
+def test_derivation_matches_pencil_oracle_check_for_check(
+        samples, factors, shift, candidate_edit, partial_edit, j_edit):
+    j = edited(rescaled(corrected_j(), factors), j_edit)
+    candidate = edited(rotated(rescaled(corrected_jprime(), [1 / c for c in factors]), shift),
+                       candidate_edit)
+    if partial_edit:
+        candidate = partly_edited(candidate, partial_edit, samples[0])
+    assert (outcome(derived_checks, j, candidate, samples)
+            == outcome(pencil_oracle, j, candidate, samples))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(DEGENERATE_MAPS),
+       st.lists(st.one_of(nonzero, tall), min_size=1, max_size=3, unique_by=Fraction))
+def test_degenerate_maps_fail_where_the_oracle_fails(case, samples):
+    j = curve_map(case[0])
+    expected = outcome(pencil_oracle, j, corrected_jprime(), samples)
+    assert expected[0] == "degenerate"
+    assert outcome(derived_checks, j, corrected_jprime(), samples) == expected
+
+
+vectors = st.lists(st.integers(-3, 3), min_size=1, max_size=7)
+
+
+@st.composite
+def vector_pairs(draw):
+    u = draw(vectors)
+    kind = draw(st.sampled_from(["free", "multiple", "one-slot"]))
+    if kind == "free":
+        return u, draw(st.lists(st.integers(-3, 3), min_size=len(u), max_size=len(u)))
+    v = [draw(st.integers(-4, 4)) * x for x in u]
+    if kind == "one-slot":
+        v[draw(st.integers(0, len(u) - 1))] = draw(st.integers(-3, 3))
+    return u, v
+
+
+@given(vector_pairs(), st.booleans())
+@example(([0, 1, 2], [0, 1, 3]), False)  # the first slot is zero in both
+@example(([0, 0], [0, 0]), False)
+def test_pivoted_projective_equal_matches_all_pairs(pair, cyclotomic):
+    u, v = pair
+    if cyclotomic:  # the same question over Q(zeta_6), scaled by 1 + zeta
+        unit = Cyclotomic(6, [1, 1])
+        u, v = [unit * x for x in u], [unit * unit * x for x in v]
+    assert projective_equal(u, v) == projective_equal_all_pairs(u, v)
+    assert projective_equal(v, u) == projective_equal_all_pairs(v, u)
+
+
+def test_projective_equal_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        projective_equal((1, 2), (1, 2, 3))
+
+
+def test_derivation_needs_rational_coefficients():
+    j = corrected_j()
+    zeta_entry = j.entries[0] * Cyclotomic.zeta(6)
+    twisted = ProjectiveCurveMap(j.source_vars, (zeta_entry,) + j.entries[1:],
+                                 j.target_labels)
+    with pytest.raises(ValueError, match="not rational"):
+        derive_jprime_and_compare(twisted, corrected_jprime(), (2,))
+    with pytest.raises(ValueError, match="not rational"):
+        derive_jprime_and_compare(j, twisted, (2,))

@@ -19,11 +19,10 @@ KNOWN_CYCLOTOMIC = {
 
 
 def test_rational_scalar_normal_form():
+    # rationals are plain Fractions, whose normal form the kernel relies on
     from math import gcd
 
-    from multisec.exactalg import Rational
-
-    x = Rational(6, -4)
+    x = Fraction(6, -4)
     assert x.denominator > 0
     assert gcd(x.numerator, x.denominator) == 1
     assert (x.numerator, x.denominator) == (-3, 2)

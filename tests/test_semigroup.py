@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 from multisec.semigroup import (
     NumericalSemigroup,
     sdn_generators,
-    semigroup_contains,
     semigroup_min_and_gcd,
 )
 
@@ -86,7 +85,7 @@ def test_oracle_equivalence_sample():
         s = sdn_generators(d, n)
         members = naive_members(set(s.generators), 200)
         for x in range(201):
-            assert semigroup_contains(s, x) == (x in members), (d, n, x)
+            assert s.contains(x) == (x in members), (d, n, x)
 
 
 def test_every_member_divisible_by_gcd():
