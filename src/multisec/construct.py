@@ -11,7 +11,8 @@ Everything is verified by exact arithmetic: equivariance by degree
 bookkeeping, the derived dual map by rational and cyclotomic nullspaces on
 the fiber, the quadratic pullback table by polynomial expansion and an
 exact rank computation, and the norm map by expanding the product over the
-deck transformations.
+deck transformations.  `construction_checks` runs them on the fixtures and
+returns the verify-construction suite in report order.
 
 The canonical fixtures (the printed and the corrected six-entry vectors)
 are stored as plain text in ``fixtures/curve_maps.txt`` together with
@@ -57,7 +58,7 @@ class NotDescendable(ValueError):
 
 
 class DegenerateFiber(ValueError):
-    """The evaluated hyperplane rows do not have full rank."""
+    """The hyperplane rows at a fiber point do not have full rank."""
 
 
 class SampleZero(ValueError):
@@ -94,9 +95,6 @@ class ProjectiveCurveMap:
                 raise ValueError(f"entry {e} is not homogeneous")
         if all(e.is_zero() for e in self.entries):
             raise ValueError("entries must not all be zero")
-
-    def evaluate(self, point: Sequence) -> tuple:
-        return tuple(e.evaluate(point) for e in self.entries)
 
     def entry_degrees(self) -> tuple[int | None, ...]:
         return tuple(e.total_degree() for e in self.entries)
@@ -285,35 +283,6 @@ def projective_equal(u: Sequence, v: Sequence) -> bool:
     return all(u[i] * vp == up * v[i] for i in range(len(u)) if i != p)
 
 
-def dual_point_on_fiber(curve_map: ProjectiveCurveMap,
-                        fiber_points: Sequence[tuple],
-                        dual_signs: Sequence[int] | None = None) -> tuple:
-    """Intersection of the hyperplanes dual to the map at the given points.
-
-    Each point contributes the row of entry values, optionally twisted by
-    per-slot signs (the dual-pairing convention); the result is the unique
-    ray in the right nullspace.  Raises DegenerateFiber when the rows do
-    not have full rank, e.g. for a repeated point.
-    """
-    n = len(curve_map.entries)
-    if len(fiber_points) != n - 1:
-        raise ValueError(f"expected {n - 1} points, got {len(fiber_points)}")
-    signs = tuple(dual_signs) if dual_signs is not None else (1,) * n
-    if len(signs) != n:
-        raise ValueError("one sign per entry required")
-    basis = exact_matrix_nullspace(ExactMatrix(
-        [_hyperplane_row(curve_map, point, signs) for point in fiber_points]))
-    if len(basis) != 1:
-        raise DegenerateFiber(
-            f"hyperplane rows have rank {n - len(basis)}, need {n - 1}")
-    return basis[0]
-
-
-def _hyperplane_row(curve_map: ProjectiveCurveMap, point: Sequence,
-                    signs: Sequence[int]) -> list:
-    return [s * v for s, v in zip(signs, curve_map.evaluate(point))]
-
-
 @dataclass(frozen=True)
 class JPrimeCheck:
     sample: Fraction
@@ -480,6 +449,26 @@ def quadratic_pullback_table(jprime: ProjectiveCurveMap) -> PullbackTable:
     return PullbackTable(tuple(rows), rank)
 
 
+def paired_quadric_check(j: ProjectiveCurveMap, table: PullbackTable) -> dict:
+    """Compare j's paired quadrics with the dual map's pullback table.
+
+    Every descended coefficient must be a quintic, and the coefficient of
+    each table monomial a*b must be the table's image with the curve
+    coordinates swapped, times the block sign (+1 on X+, -1 on X-) and
+    the factor 2 of an off-diagonal monomial.
+    """
+    family = paired_quadric_descend(j)
+    return {
+        "coefficient_degree_5": all(q.is_homogeneous() and q.total_degree() == 5
+                                    for q in family.coefficients.values()),
+        "matches_table_after_swap": all(
+            family.coefficient(a, b)
+            == ((1 if a.startswith("X+") else -1) * (1 if a == b else 2))
+            * quintic.apply_variable_permutation((1, 0))
+            for (a, b), quintic in table.rows),
+    }
+
+
 def normalized_map_degree(curve_map: ProjectiveCurveMap) -> int:
     """Common entry degree after removing the polynomial gcd of the entries."""
     nonzero = [e for e in curve_map.entries if not e.is_zero()]
@@ -594,3 +583,53 @@ def dedupe_consecutive_entries(entries: Sequence[SparseMultiPoly]) -> tuple[Spar
         if not out or out[-1] != e:
             out.append(e)
     return tuple(out)
+
+
+# -- the verification suite ----------------------------------------------------
+
+def construction_checks(samples: Sequence = DEFAULT_JPRIME_SAMPLES) -> list[tuple]:
+    """The checks of the construction on the fixtures, in report order.
+
+    Each entry is (name, informational, ok, detail).  An informational
+    check diagnoses a printed fixture and does not enter a verdict; the
+    construction holds when every other check is ok.  `samples` are the
+    parameters of the dual-map derivation.
+    """
+    j, jp = corrected_j(), corrected_jprime()
+    action = standard_weight_action()
+    eq_j = check_weighted_equivariance(j, action)
+    eq_printed = check_weighted_equivariance(printed_j(), action)
+    eq_jp = check_weighted_equivariance(jp, dual_weight_action())
+    printed_jp = printed_jprime_entries()
+    deduped = dedupe_consecutive_entries(printed_jp)
+    comparison = derive_jprime_and_compare(j, jp, samples)
+    table = quadratic_pullback_table(jp)
+    paired = paired_quadric_check(j, table)
+    degrees = {"j": normalized_map_degree(j), "jprime": normalized_map_degree(jp)}
+    t0_plus_t1 = SparseMultiPoly(CURVE_VARS, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    norms = {f"norm{d}": monomial_norm(t0_plus_t1, d).canonical_str() for d in (3, 2)}
+    twists = pushforward_splitting_type(3, 5)
+    return [
+        ("equivariance_j_corrected", False, eq_j.ok and eq_j.offset == 0,
+         {"status": eq_j.status, "offset": eq_j.offset}),
+        ("equivariance_j_printed_flagged", True, eq_printed.status == "not-homogeneous",
+         {"status": eq_printed.status,
+          "entry_degrees": [d["degree"] for d in eq_printed.entry_details]}),
+        ("equivariance_jprime_corrected", False, eq_jp.ok and eq_jp.offset == 5,
+         {"status": eq_jp.status, "offset": eq_jp.offset}),
+        ("printed_jprime_deduplicates_to_corrected", True, deduped == jp.entries,
+         {"printed_entries": len(printed_jp), "deduplicated_entries": len(deduped)}),
+        ("derived_jprime_matches_closed_form", False, comparison.all_match,
+         {"samples": [str(t) for t in comparison.samples],
+          "point_checks": len(comparison.checks),
+          "mismatches": len(comparison.mismatches())}),
+        ("pullback_table_rank", False, table.rank == 6,
+         {"rank": table.rank,
+          "rows": [{"monomial": f"{a}*{b}", "image": q.canonical_str()}
+                   for (a, b), q in table.rows]}),
+        ("paired_quadrics_descend", False, all(paired.values()), paired),
+        ("normalized_degrees", False, degrees == {"j": 5, "jprime": 5}, degrees),
+        ("norm_spot_checks", False, norms == {"norm3": "U0 + U1", "norm2": "-U0 + U1"},
+         norms),
+        ("pushforward_splitting", False, twists == (1, 1, 1), {"twists": list(twists)}),
+    ]

@@ -165,20 +165,7 @@ class SparseMultiPoly:
     def __hash__(self) -> int:
         return hash((self.variables, frozenset(self.terms.items())))
 
-    # -- substitution and evaluation ---------------------------------------
-
-    def evaluate(self, values: Sequence) -> object:
-        """Evaluate at a point given as one scalar per variable."""
-        if len(values) != len(self.variables):
-            raise ValueError("wrong number of values")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            acc = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    acc = acc * v ** e
-            total = acc + total
-        return total
+    # -- substitution ----------------------------------------------------------
 
     def scale_variable(self, index: int, scalar) -> "SparseMultiPoly":
         """Substitute x_index -> scalar * x_index."""

@@ -33,8 +33,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .univariate import quo_rem
-
 RationalLike = Union[int, Fraction]
 
 
@@ -127,17 +125,22 @@ class Cyclotomic:
     __slots__ = ("conductor", "numerators", "denominator")
 
     def __init__(self, conductor: int, coeffs) -> None:
-        phi = euler_phi(conductor)
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > phi:
-            _, vec = quo_rem(vec, cyclotomic_polynomial(conductor))
-        vec += [Fraction(0)] * (phi - len(vec))
-        # the lcm of reduced denominators leaves no common factor behind
-        den = lcm(*(c.denominator for c in vec))
+        # each int or Fraction coefficient of z^m, any m >= 0, becomes a
+        # numerator over the lcm denominator and adds that multiple of the
+        # table row of z^(m mod d), a unit row when m < phi(d)
+        coeffs = tuple(coeffs)
+        powers = _power_rows(conductor)
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [0] * len(powers[0])
+        for m, c in enumerate(coeffs):
+            if c:
+                n = c.numerator * (den // c.denominator)
+                for k, r in enumerate(powers[m % conductor]):
+                    num[k] += n * r
+        g = gcd(den, *num)
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "numerators",
-                           tuple(c.numerator * (den // c.denominator) for c in vec))
-        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "numerators", tuple(x // g for x in num))
+        object.__setattr__(self, "denominator", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")

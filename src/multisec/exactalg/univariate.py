@@ -2,8 +2,7 @@
 
 A polynomial is a list of Fraction coefficients, constant term first, with
 no trailing zeros (the zero polynomial is the empty list).  These helpers
-serve the reduction of a long coefficient vector modulo Phi_d and the gcd
-of binary forms (a monic gcd of their dehomogenizations).
+serve the gcd of binary forms (a monic gcd of their dehomogenizations).
 """
 
 from __future__ import annotations

@@ -61,6 +61,10 @@ class NumericalSemigroup:
     def min_positive(self) -> int:
         return min(self.generators)
 
+    def to_json_dict(self) -> dict:
+        return {"generators": list(self.generators), "min": self.min_positive(),
+                "gcd": self.gcd()}
+
     def contains(self, x: int) -> bool:
         if x < 0:
             raise ValueError("membership is defined for nonnegative integers")

@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass, field
 from math import comb, gcd
 
 from . import perm
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, sdn_generators
 
 
 class NotTransitive(ValueError):
@@ -198,3 +198,42 @@ def index_and_degree_report(model: PencilModel) -> IndexReport:
         exact_min=min_lower if min_lower == min_upper else None,
         exact_index=idx_lower if idx_lower == idx_upper else None,
     )
+
+
+def check_hypersurface_pencil(d: int, n: int) -> tuple[dict, bool]:
+    """The hypersurface pencil's report and its agreement with the semigroup.
+
+    It agrees when its divisors are the generators of `sdn_generators(d, n)`
+    and its lower bounds on minimal degree and index are their minimum and
+    gcd.
+    """
+    model = hypersurface_pencil_model(d, n)
+    report = index_and_degree_report(model)
+    semi = sdn_generators(d, n)
+    results = report.to_json_dict()
+    results["semigroup"] = semi.to_json_dict()
+    results["strata"] = [{"name": s.name, "divisor": s.divisor} for s in model.strata]
+    ok = (report.divisors == semi.generators
+          and report.min_degree_lower == semi.min_positive()
+          and report.index_divisor_lower == semi.gcd())
+    return results, ok
+
+
+def check_enriques_pencil() -> tuple[dict, bool]:
+    """The quotient pencil's report and whether it is the index-1 pencil.
+
+    That needs cover divisors {8, 12, 6}, quotient divisors {4, 6, 3},
+    exact minimal degree 3 and exact index 1.
+    """
+    cover = k3_cover_pencil_model()
+    model = enriques_pencil_model()
+    report = index_and_degree_report(model)
+    results = report.to_json_dict()
+    results["cover_divisors"] = list(cover.divisors())
+    results["realized_provenance"] = [
+        {"degree": r.degree, "provenance": r.provenance} for r in model.realized_degrees]
+    ok = (cover.divisors() == (8, 12, 6)
+          and report.divisors == (4, 6, 3)
+          and report.exact_min == 3
+          and report.exact_index == 1)
+    return results, ok

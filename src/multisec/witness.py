@@ -99,3 +99,14 @@ def choose_ab_and_certify(a_prime: int, b_prime: int, e: int) -> WitnessReport:
                          span_bound=report.span_bound,
                          basepoint_ok=report.basepoint_ok,
                          e=e, no_section_ok=e < 4 * a * b - 1)
+
+
+def check_witness(a: int, b: int, e: int | None = None) -> tuple[dict, bool]:
+    """The witness report and whether it certifies the family.
+
+    Without e the report is for block sizes (a, b); with e it is for the
+    cheapest pair at least (a, b) against a degree-e curve.  It certifies
+    when the basepoint exists and, given e, e < 4ab - 1.
+    """
+    report = witness_parameters(a, b) if e is None else choose_ab_and_certify(a, b, e)
+    return report.to_json_dict(), report.basepoint_ok and report.no_section_ok is not False

@@ -1,12 +1,15 @@
+import io
 import json
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from multisec import cli
 
@@ -293,3 +296,69 @@ def test_samples_at_the_caps_are_accepted(monkeypatch):
     assert len(samples) == cli.MAX_SAMPLES
     assert cli.main(["verify-construction", "--samples=" + ",".join(samples)]) == 0
     assert seen[0][:3] == (Fraction(cap), Fraction(-1, cap), Fraction(cap - 1, cap))
+
+
+# integer flag values: in range, at and past each cap, negative, zero,
+# exponent and decimal forms, and integers at and past the 4,300-digit limit
+integer_values = st.one_of(
+    st.integers(-3, 20).map(str),
+    st.sampled_from([
+        "0", "-1", str(cli.MAX_D + 1), str(cli.MAX_E), str(cli.MAX_E + 1), str(10 ** 30),
+        "1e5", "-1e5", "2.5", "", "x", "9" * 4300, "-" + "9" * 4300, "9" * 4301]),
+)
+sample_values = st.one_of(
+    st.integers(-10 ** 4, 10 ** 4).map(str),
+    st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6), st.integers(-2, 10 ** 6)),
+    st.sampled_from([
+        "1e100", "-1e-100", "1e101", "1e5000", "1e100000000", "1e", "e5", "0.5", "1/0",
+        "1_000", "", "9" * 4300, "9" * 4301, "0." + "0" * 4000 + "1"]),
+)
+sample_lists = st.one_of(
+    st.lists(sample_values, min_size=1, max_size=3).map(",".join),
+    st.sampled_from([",".join(str(k) for k in range(1, cli.MAX_SAMPLES + 2)),
+                     ",".join(["1e100"] * 2)]),
+)
+FLAGS = {
+    "hypersurface": ("--d", "--n"),
+    "enriques": (),
+    "semigroup": ("--d", "--n", "--query"),
+    "verify-construction": ("--samples",),
+    "witness": ("--a", "--b", "--e"),
+}
+
+
+@st.composite
+def command_lines(draw):
+    subcommand = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [subcommand]
+    for flag in FLAGS[subcommand]:
+        if draw(st.integers(0, 9)):  # one flag in ten left out
+            value = draw(sample_lists if flag == "--samples" else integer_values)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def _verdict(argv, out):
+    if "--json" in argv:
+        return json.loads(out)["verdict"]
+    return out.rstrip().rpartition("verdict: ")[2]
+
+
+# a drawn command can reach a cap (hypersurface at d = 17, witness at e = 10^12)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines())
+def test_any_command_line_exits_by_the_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a flag with exit 2
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue(), argv
+    else:
+        expected = ("refuted",) if code == 1 else ("verified", "info")
+        assert _verdict(argv, out.getvalue()) in expected, argv

@@ -18,12 +18,12 @@ from multisec.construct import (
     corrected_jprime,
     dedupe_consecutive_entries,
     derive_jprime_and_compare,
-    dual_point_on_fiber,
     dual_weight_action,
     involution_conjugate,
     load_curve_fixture,
     monomial_norm,
     normalized_map_degree,
+    paired_quadric_check,
     paired_quadric_descend,
     printed_j,
     printed_jprime_entries,
@@ -34,7 +34,13 @@ from multisec.construct import (
 )
 from multisec.exactalg import SparseMultiPoly, parse_poly
 
-from test_pencil_oracle import DEGENERATE_MAPS, MonomialCover
+from test_pencil_oracle import (
+    DEGENERATE_MAPS,
+    MonomialCover,
+    dual_point_on_fiber,
+    evaluate_map,
+    hyperplane_row,
+)
 
 
 def S(text):
@@ -163,6 +169,21 @@ def test_paired_quadrics_match_table_after_swap():
         assert family.coefficient(a, b) == (sign * factor) * swapped, (a, b)
 
 
+def test_paired_quadric_check_sees_a_negated_minus_entry():
+    # negating X-0 keeps j equivariant but flips the sign of the paired
+    # coefficients X-0*X-1 and X-0*X-2 against the table's
+    j = corrected_j()
+    negated = ProjectiveCurveMap(SOURCE_VARS, j.entries[:3] + (-j.entries[3],) + j.entries[4:],
+                                 j.target_labels)
+    assert check_weighted_equivariance(negated, standard_weight_action()).ok
+    table = quadratic_pullback_table(corrected_jprime())
+    assert paired_quadric_check(j, table) == {
+        "coefficient_degree_5": True, "matches_table_after_swap": True}
+    assert paired_quadric_check(negated, table) == {
+        "coefficient_degree_5": True, "matches_table_after_swap": False}
+    assert [(pair, q.canonical_str()) for pair, q in table.rows] == EXPECTED_TABLE
+
+
 def test_non_equivariant_perturbation_raises_mixed_term():
     j = corrected_j()
     entries = list(j.entries)
@@ -241,7 +262,7 @@ def test_dual_point_matches_partner_of_missing_fiber_point():
         points = [fiber[i] for i in range(6) if i != missing]
         dual = dual_point_on_fiber(j, points, dual_signs=signs)
         partner = (missing + 3) % 6
-        assert projective_equal(dual, jp.evaluate(fiber[partner]))
+        assert projective_equal(dual, evaluate_map(jp, fiber[partner]))
 
 
 def test_dual_point_repeated_point_degenerate():
@@ -259,7 +280,7 @@ def test_derive_jprime_degenerate_maps(entries, pencil_dim):
     j = curve_map(*entries)
     signs = standard_weight_action().involution_signs()
     fiber = MonomialCover(6).fiber(Fraction(2))
-    rows = [[s * v for s, v in zip(signs, j.evaluate(point))] for point in fiber]
+    rows = [hyperplane_row(j, point, signs) for point in fiber]
     shared = ExactMatrix([rows[i] for i in (1, 2, 4, 5)])
     assert len(exact_matrix_nullspace(shared)) == pencil_dim
     with pytest.raises(DegenerateFiber, match="fiber point 0 of sample 2"):
@@ -274,7 +295,7 @@ def test_five_distinct_fiber_points_have_rank_five():
 
     j = corrected_j()
     fiber = MonomialCover(6).fiber(Fraction(2))
-    rows = [list(j.evaluate(fiber[i])) for i in range(5)]
+    rows = [list(evaluate_map(j, fiber[i])) for i in range(5)]
     matrix = ExactMatrix(rows)
     assert exact_matrix_rank(matrix) == 5
     assert len(exact_matrix_nullspace(matrix)) == 1

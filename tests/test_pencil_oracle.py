@@ -8,12 +8,15 @@ solves one cyclotomic 4 x 6 nullspace per partner pair and compares by
 all 15 cross products.  Both must agree check for check, and fail on a
 degenerate map at the same fiber point with the same message.
 
-`dual_point_on_fiber` solves the full five-row system of one point.  The
-report holds only match flags, so that comparison runs through the
-candidate: for a map j with its entries rescaled by c, the dual map is
-the closed form with its entries rescaled by 1/c.  Where that candidate
-matches both the per-point dual point and the report, the derivation's
-dual point equals the per-point one.
+`dual_point_on_fiber` is the per-point oracle: it evaluates the map at
+five fiber points and solves the full five-row system.  The report holds
+only match flags, so that comparison runs through the candidate: for a
+map j with its entries rescaled by c, the dual map is the closed form with
+its entries rescaled by 1/c.  Where that candidate matches both the
+per-point dual point and the report, the derivation's dual point equals
+the per-point one.  `evaluate` and `evaluate_map` are the evaluation at a
+point that the oracles use; the program itself never evaluates a
+polynomial, as it reads fiber values off integer residue-class sums.
 """
 
 from dataclasses import dataclass
@@ -32,7 +35,6 @@ from multisec.construct import (
     corrected_j,
     corrected_jprime,
     derive_jprime_and_compare,
-    dual_point_on_fiber,
     projective_equal,
     standard_weight_action,
 )
@@ -67,6 +69,50 @@ class MonomialCover:
         return [(zeta ** k * base, one) for k in range(self.degree)]
 
 
+def evaluate(poly: SparseMultiPoly, point):
+    """The value of a polynomial at a point given as one scalar per variable."""
+    if len(point) != len(poly.variables):
+        raise ValueError("wrong number of values")
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        acc = coeff
+        for v, e in zip(point, exps):
+            if e:
+                acc = acc * v ** e
+        total = acc + total
+    return total
+
+
+def evaluate_map(curve_map: ProjectiveCurveMap, point) -> tuple:
+    return tuple(evaluate(e, point) for e in curve_map.entries)
+
+
+def hyperplane_row(curve_map, point, signs) -> list:
+    return [s * v for s, v in zip(signs, evaluate_map(curve_map, point))]
+
+
+def dual_point_on_fiber(curve_map, fiber_points, dual_signs=None) -> tuple:
+    """Intersection of the hyperplanes dual to the map at the given points.
+
+    Each point contributes the row of entry values, optionally twisted by
+    per-slot signs (the dual-pairing convention); the result is the unique
+    ray in the right nullspace.  Raises DegenerateFiber when the rows do
+    not have full rank, e.g. for a repeated point.
+    """
+    n = len(curve_map.entries)
+    if len(fiber_points) != n - 1:
+        raise ValueError(f"expected {n - 1} points, got {len(fiber_points)}")
+    signs = tuple(dual_signs) if dual_signs is not None else (1,) * n
+    if len(signs) != n:
+        raise ValueError("one sign per entry required")
+    basis = exact_matrix_nullspace(ExactMatrix(
+        [hyperplane_row(curve_map, point, signs) for point in fiber_points]))
+    if len(basis) != 1:
+        raise DegenerateFiber(
+            f"hyperplane rows have rank {n - len(basis)}, need {n - 1}")
+    return basis[0]
+
+
 def projective_equal_all_pairs(u, v) -> bool:
     u, v = tuple(u), tuple(v)
     if all(scalar_is_zero(x) for x in u) or all(scalar_is_zero(x) for x in v):
@@ -81,7 +127,7 @@ def pencil_oracle(j, candidate, samples) -> list[tuple[Fraction, int, bool]]:
     checks = []
     for t in map(Fraction, samples):
         fiber = MonomialCover(6).fiber(t)
-        rows = [[s * v for s, v in zip(signs, j.evaluate(point))] for point in fiber]
+        rows = [hyperplane_row(j, point, signs) for point in fiber]
         pencils = [exact_matrix_nullspace(ExactMatrix(
             [row for i, row in enumerate(rows) if i % 3 != pair])) for pair in range(3)]
         for k in range(6):
@@ -94,7 +140,7 @@ def pencil_oracle(j, candidate, samples) -> list[tuple[Fraction, int, bool]]:
                     f"have rank below 5")
             dual = tuple(a * x - b * y for x, y in zip(u, w))
             checks.append((t, k, projective_equal_all_pairs(
-                dual, candidate.evaluate(fiber[k]))))
+                dual, evaluate_map(candidate, fiber[k]))))
     return checks
 
 
@@ -190,14 +236,14 @@ def test_pencil_dual_points_match_per_point_nullspace(samples, factors, shift):
 
     report = derive_jprime_and_compare(j, candidate, samples)
     assert [(c.sample, c.fiber_index) for c in report.checks] == order
-    assert all(projective_equal(dual, candidate.evaluate(point))
+    assert all(projective_equal(dual, evaluate_map(candidate, point))
                for point, dual in zip(points, duals))
     assert report.all_match
 
     report = derive_jprime_and_compare(j, rotation, samples)
     assert [(c.sample, c.fiber_index) for c in report.checks] == order
     assert [c.matched for c in report.checks] == [
-        projective_equal(dual, rotation.evaluate(point))
+        projective_equal(dual, evaluate_map(rotation, point))
         for point, dual in zip(points, duals)]
 
 
