@@ -5,7 +5,8 @@ Every subcommand checks its flags, runs one check of the library
 {subcommand, inputs, results, verdict} and renders it as line-oriented
 text or as stable JSON (sorted keys, no timestamps), so identical
 invocations are byte-identical.  Exit codes: 0 for verified/info, 1 for
-refuted, 2 for bad input.
+refuted, 2 for bad input, 3 for an internal fault (any other exception,
+reported as one stderr line naming the subcommand and the exception type).
 """
 
 from __future__ import annotations
@@ -168,11 +169,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = run_command(args)
+        text = render_report(report, "json" if getattr(args, "json", False) else "text")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    output_format = "json" if getattr(args, "json", False) else "text"
-    sys.stdout.write(render_report(report, output_format))
+    except Exception as exc:  # a fault of the program, not a refutation
+        print(f"error: {args.subcommand} failed: internal {type(exc).__name__}",
+              file=sys.stderr)
+        return 3
+    sys.stdout.write(text)
     return 0 if report["verdict"] in ("verified", "info") else 1
 
 

@@ -4,7 +4,6 @@ from .scalars import (
     Cyclotomic,
     as_fraction,
     cyclotomic_polynomial,
-    euler_phi,
     scalar_is_zero,
 )
 from .poly import SparseMultiPoly, binary_form_gcd, parse_poly
@@ -17,7 +16,6 @@ __all__ = [
     "as_fraction",
     "binary_form_gcd",
     "cyclotomic_polynomial",
-    "euler_phi",
     "exact_matrix_nullspace",
     "exact_matrix_rank",
     "parse_poly",

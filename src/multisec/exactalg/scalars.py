@@ -36,24 +36,6 @@ from typing import Union
 RationalLike = Union[int, Fraction]
 
 
-def euler_phi(d: int) -> int:
-    """Euler totient by trial-division factorization (d is tiny here)."""
-    if d < 1:
-        raise ValueError("conductor must be positive")
-    result = d
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     # den is monic; division is exact for cyclotomic quotients
     num = list(num)

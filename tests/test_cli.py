@@ -1,5 +1,6 @@
 import io
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -147,6 +148,18 @@ def test_refuted_verdict_exits_1(monkeypatch, capsys):
     assert code == 1
     assert "verdict: refuted" in out
     assert "FAIL" in out
+
+
+def test_internal_fault_exits_3_with_one_stderr_line(monkeypatch, capsys):
+    def fault():
+        raise RuntimeError("injected")
+    monkeypatch.setattr(cli.strata, "check_enriques_pencil", fault)
+    for argv in (["enriques"], ["enriques", "--json"]):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "enriques" in captured.err and "RuntimeError" in captured.err
 
 
 def test_exit_code_is_function_of_verdict():
@@ -346,16 +359,38 @@ def _verdict(argv, out):
     return out.rstrip().rpartition("verdict: ")[2]
 
 
+# The slowest cold run at a cap in the README table is 0.80 s (64 samples of
+# height 10^100; `witness --a 1 --b 1 --e 10^12` takes 0.78 s).  Ten times
+# that leaves room for a slow or loaded host, while a flag that lost its cap
+# (an O(e) witness scan, 2^d subsets past d = 17) runs far longer.
+WALL_BOUND_S = 8.0
+
+
+class PastWallBound(BaseException):
+    """Raised by the alarm; not an Exception, so `cli.main` cannot catch it."""
+
+
+def _past_wall_bound(signum, frame):
+    raise PastWallBound
+
+
 # a drawn command can reach a cap (hypersurface at d = 17, witness at e = 10^12)
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(command_lines())
 def test_any_command_line_exits_by_the_contract(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
+    previous = signal.signal(signal.SIGALRM, _past_wall_bound)
+    signal.setitimer(signal.ITIMER_REAL, WALL_BOUND_S)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse refuses a flag with exit 2
-            code = exc.code
+    except SystemExit as exc:  # argparse refuses a flag with exit 2
+        code = exc.code
+    except PastWallBound:
+        code = f"still running after {WALL_BOUND_S} s"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert out.getvalue() == "" and err.getvalue(), argv

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from multisec.exactalg import Cyclotomic, cyclotomic_polynomial, euler_phi
+from multisec.exactalg import Cyclotomic, cyclotomic_polynomial
 
 
 def _trim(p):
@@ -47,7 +47,7 @@ def _poly_divmod(a, b):
 
 class RefCyclotomic:
     def __init__(self, conductor, coeffs):
-        phi = euler_phi(conductor)
+        phi = len(cyclotomic_polynomial(conductor)) - 1
         vec = [Fraction(c) for c in coeffs]
         if len(vec) > phi:
             mod = [Fraction(c) for c in cyclotomic_polynomial(conductor)]
@@ -239,7 +239,8 @@ tall = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 *
 @slow
 @given(st.integers(1, 12), st.data())
 def test_large_height_inverse_is_exact(d, data):
-    x = Cyclotomic(d, data.draw(st.lists(tall, min_size=1, max_size=euler_phi(d))))
+    phi = len(cyclotomic_polynomial(d)) - 1
+    x = Cyclotomic(d, data.draw(st.lists(tall, min_size=1, max_size=phi)))
     assume(x)
     assert x * x.inverse() == 1
     assert x.inverse().inverse() == x

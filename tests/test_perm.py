@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -7,16 +7,23 @@ from hypothesis import given, settings, strategies as st
 from multisec import perm
 
 
-# The tuple-based subset action and the union-find orbits that the bitmask
-# action and the breadth-first orbits replaced, kept as oracles.
+# Oracles kept from the code the rows replaced: the tuple-based subset
+# action, the union-find orbits and the per-slot wreath rule on patterns.
+
+def symmetric_rows(d):
+    """S_d as the rows of the swap of 0 and 1 and the d-cycle x -> x + 1."""
+    cycle = tuple((x + 1) % d for x in range(d))
+    if d == 1:
+        return (cycle,)
+    return (tuple([1, 0] + list(range(2, d))), cycle)
+
 
 def tuple_subset_action(d, i):
     """S_d on i-subsets as sorted tuples in lex order, images sorted back."""
-    group = perm.symmetric_group(d)
     subsets = list(combinations(range(d), i))
     index = {s: k for k, s in enumerate(subsets)}
-    rows = [[index[tuple(sorted(g(x) for x in s))] for s in subsets]
-            for g in group.generators]
+    rows = [[index[tuple(sorted(g[x] for x in s))] for s in subsets]
+            for g in symmetric_rows(d)]
     return subsets, rows
 
 
@@ -31,7 +38,7 @@ def union_find_orbits(action):
             x = parent[x]
         return x
 
-    for row in action.generator_images:
+    for row in action.rows:
         for i, im in enumerate(row):
             ri, rm = find(i), find(im)
             if ri != rm:
@@ -42,44 +49,73 @@ def union_find_orbits(action):
     return tuple(tuple(groups[root]) for root in sorted(groups))
 
 
-def test_permutation_composition_and_inverse():
-    a = perm.Permutation((1, 0, 2))
-    b = perm.Permutation((1, 2, 0))
-    assert (a * b).images == tuple(a(b(i)) for i in range(3))
-    assert (a * a.inverse()).is_identity()
-    with pytest.raises(ValueError):
-        perm.Permutation((0, 0, 1))
+# The wreath generators described per slot: a swap of the symbols 1 and 2
+# in one slot p, or a permutation of the slots (p -> blocks[p]), on
+# patterns over {1, 2, *} with slots and symbols counted from 1.
+SEMANTIC_WREATH = [("swap", p) for p in (1, 2, 3)] + [
+    ("blocks", {1: 2, 2: 1, 3: 3}), ("blocks", {1: 2, 2: 3, 3: 1})]
+
+
+def semantic_image(gen, pattern):
+    kind, data = gen
+    out = [None, None, None]
+    for slot, symbol in enumerate(pattern, start=1):
+        if kind == "swap":
+            flip = slot == data and symbol != "*"
+            out[slot - 1] = {1: 2, 2: 1}[symbol] if flip else symbol
+        else:
+            out[data[slot] - 1] = symbol
+    return tuple(out)
+
+
+def semantic_cube_action(wildcards):
+    patterns = [pat for pat in product((1, 2, "*"), repeat=3)
+                if sum(1 for x in pat if x == "*") == wildcards]
+    index = {pat: k for k, pat in enumerate(patterns)}
+    rows = [[index[semantic_image(gen, pat)] for pat in patterns]
+            for gen in SEMANTIC_WREATH]
+    return patterns, rows
 
 
 def test_symmetric_group_orders():
-    assert perm.symmetric_group(1).order() == 1
-    assert perm.symmetric_group(3).order() == 6
-    assert perm.symmetric_group(4).order() == 24
+    # the swap and the d-cycle generate all of S_d, element for element
+    for d in range(1, 7):
+        elements = perm.enumerate_group(symmetric_rows(d))
+        assert len(elements) == len(set(elements))
+        assert set(elements) == set(permutations(range(d)))
 
 
 def test_wreath_group_order_48():
-    assert perm.wreath_product_3_2().order() == 48
+    assert len(perm.enumerate_group(perm.wreath_product_3_2())) == 48
 
 
 def test_wreath_elements_preserve_blocks():
-    group = perm.wreath_product_3_2()
-    blocks = [{0, 1}, {2, 3}, {4, 5}]  # the three (p, *) pairs
-    for g in group.elements():
-        for block in blocks:
-            image = {g(i) for i in block}
-            assert image in blocks
+    # the group is exactly the block-preserving permutations of 6 points
+    blocks = [{0, 1}, {2, 3}, {4, 5}]
+    preserving = {g for g in permutations(range(6))
+                  if all({g[i] for i in block} in blocks for block in blocks)}
+    assert len(preserving) == 48
+    assert set(perm.enumerate_group(perm.wreath_product_3_2())) == preserving
 
 
 def test_cap_exceeded():
     with pytest.raises(perm.CapExceeded):
-        perm.symmetric_group(10).elements(cap=1000)
+        perm.enumerate_group(symmetric_rows(10), cap=1000)
 
 
 def test_enumerate_group_deterministic_order():
-    g1 = perm.symmetric_group(4).elements()
-    g2 = perm.symmetric_group(4).elements()
+    g1 = perm.enumerate_group(symmetric_rows(4))
+    g2 = perm.enumerate_group(symmetric_rows(4))
     assert g1 == g2
-    assert g1[0].is_identity()
+    assert g1[0] == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("wildcards", [0, 1, 2])
+def test_cube_strata_rows_match_the_per_slot_rule(wildcards):
+    action = perm.cube_strata_action(wildcards)
+    patterns, rows = semantic_cube_action(wildcards)
+    assert action.points == patterns
+    assert [list(row) for row in action.rows] == rows
 
 
 def test_induced_subset_action_point_counts():
@@ -124,8 +160,7 @@ def test_cube_strata_transitive(wildcards, size):
 
 
 def test_trivial_group_gives_singleton_orbits():
-    group = perm.PermGroup(1, [perm.Permutation.identity(1)])
-    action = perm.GroupAction(group, ["a", "b", "c", "d"], [[0, 1, 2, 3]])
+    action = perm.GroupAction(["a", "b", "c", "d"], [[0, 1, 2, 3]])
     dec = perm.orbit_decomposition(action)
     assert dec.sizes() == (1, 1, 1, 1)
     assert not dec.transitive
@@ -141,9 +176,7 @@ def test_orbits_partition_points():
 @given(st.permutations(list(range(5))))
 def test_orbit_decomposition_independent_of_generator_order(order):
     base = perm.cube_strata_action(1)
-    gens = [base.group.generators[i] for i in order]
-    rows = [base.generator_images[i] for i in order]
-    shuffled = perm.GroupAction(perm.PermGroup(6, gens), base.points, rows)
+    shuffled = perm.GroupAction(base.points, [base.rows[i] for i in order])
     expected = {frozenset(o) for o in perm.orbit_decomposition(base).orbits}
     got = {frozenset(o) for o in perm.orbit_decomposition(shuffled).orbits}
     assert got == expected
@@ -158,15 +191,11 @@ def test_orbit_sizes_match_binomials_small():
 
 
 def test_group_action_validates_bijections():
-    group = perm.symmetric_group(2)
     with pytest.raises(ValueError):
-        perm.GroupAction(group, ["a", "b"], [[0, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        perm.GroupAction(group, ["a", "b"], [[0, 1]])  # one row per generator
-    cycle = perm.PermGroup(3, [perm.Permutation((1, 2, 0))])
+        perm.GroupAction(["a", "b"], [[0, 0], [0, 1]])
     for row in ([1, 2, 3], [-1, 0, 1], [0, 1], [0, 1, 2, 0]):
         with pytest.raises(ValueError):
-            perm.GroupAction(cycle, "abc", [row])
+            perm.GroupAction("abc", [(1, 2, 0), row])
 
 
 def test_subset_action_matches_tuple_oracle_image_by_image():
@@ -181,8 +210,8 @@ def test_subset_action_matches_tuple_oracle_image_by_image():
             assert as_tuples == sorted(subsets, key=lambda s: s[::-1])
             oracle_index = {s: k for k, s in enumerate(subsets)}
             to_oracle = [oracle_index[s] for s in as_tuples]
-            assert len(action.generator_images) == len(oracle_rows)
-            for row, oracle_row in zip(action.generator_images, oracle_rows):
+            assert len(action.rows) == len(oracle_rows)
+            for row, oracle_row in zip(action.rows, oracle_rows):
                 assert [to_oracle[im] for im in row] == [
                     oracle_row[k] for k in to_oracle]
 
@@ -191,8 +220,7 @@ def test_subset_action_matches_tuple_oracle_image_by_image():
 def random_actions(draw):
     n = draw(st.integers(1, 12))
     rows = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
-    group = perm.PermGroup(n, [perm.Permutation(r) for r in rows])
-    return perm.GroupAction(group, range(n), rows)
+    return perm.GroupAction(range(n), rows)
 
 
 @settings(max_examples=300)

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from multisec.exactalg import Cyclotomic, as_fraction, cyclotomic_polynomial, euler_phi
+from multisec.exactalg import Cyclotomic, as_fraction, cyclotomic_polynomial
 
 
 KNOWN_PHI = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 7: 6, 8: 4, 9: 6, 12: 4}
@@ -28,19 +29,17 @@ def test_rational_scalar_normal_form():
     assert (x.numerator, x.denominator) == (-3, 2)
 
 
-def test_euler_phi_known_values():
-    for d, phi in KNOWN_PHI.items():
-        assert euler_phi(d) == phi
-
-
 def test_cyclotomic_polynomials_known():
     for d, coeffs in KNOWN_CYCLOTOMIC.items():
         assert cyclotomic_polynomial(d) == coeffs
 
 
 def test_cyclotomic_polynomial_degrees_match_phi():
-    for d in range(1, 31):
-        assert len(cyclotomic_polynomial(d)) - 1 == euler_phi(d)
+    for d, phi in KNOWN_PHI.items():
+        assert len(cyclotomic_polynomial(d)) - 1 == phi
+    for d in range(1, 31):  # phi(d) counts the units mod d
+        phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+        assert len(cyclotomic_polynomial(d)) - 1 == phi
 
 
 def test_zeta6_relations():
