@@ -8,7 +8,7 @@ by scaling S1 and on the six target coordinates X+0..X-2 with weights
 odd coordinates are the X- block.
 
 Everything is verified by exact arithmetic: equivariance by degree
-bookkeeping, the derived dual map by rational and cyclotomic nullspaces on
+bookkeeping, the derived dual map by signed minors over Z[zeta_6] on
 the fiber, the quadratic pullback table by polynomial expansion and an
 exact rank computation, and the norm map by expanding the product over the
 deck transformations.  `construction_checks` runs them on the fixtures and
@@ -26,19 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
 from .exactalg import (
     Cyclotomic,
-    ExactMatrix,
     SparseMultiPoly,
     as_fraction,
     binary_form_gcd,
-    exact_matrix_nullspace,
     exact_matrix_rank,
     parse_poly,
-    scalar_is_zero,
 )
 
 SOURCE_VARS = ("S0", "S1")
@@ -267,20 +265,21 @@ def monomial_norm(p: SparseMultiPoly, d: int,
 
 
 def projective_equal(u: Sequence, v: Sequence) -> bool:
-    """Equality in projective space by cross-multiplication, never division.
+    """Equality in projective space over Q(zeta_6) by cross-multiplication.
 
-    With p the first nonzero slot of u, u and v are proportional iff
+    Entries are pairs (a, b) = a + b zeta_6 of integers or rationals.  With
+    p the first nonzero slot of u, u and v are proportional iff
     u_i v_p = u_p v_i for every other slot i: were v_p zero, those
     equations would make v zero, and the zero vector is rejected first.
     """
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError("length mismatch")
-    if all(scalar_is_zero(x) for x in u) or all(scalar_is_zero(x) for x in v):
+    if not any(map(any, u)) or not any(map(any, v)):
         return False
-    p = next(i for i, x in enumerate(u) if not scalar_is_zero(x))
+    p = next(i for i, x in enumerate(u) if any(x))
     up, vp = u[p], v[p]
-    return all(u[i] * vp == up * v[i] for i in range(len(u)) if i != p)
+    return all(_mul(u[i], vp) == _mul(up, v[i]) for i in range(len(u)) if i != p)
 
 
 @dataclass(frozen=True)
@@ -340,9 +339,71 @@ def _fiber_values(top: int, classes: list, t: Fraction) -> list[list[tuple[int, 
              for entry in sums] for k in range(6)]
 
 
-def _in_field(pairs: Sequence[tuple[int, int]]) -> list:
-    # rational values stay integers; the rest become elements of Q(zeta_6)
-    return [Cyclotomic(6, pair) if pair[1] else pair[0] for pair in pairs]
+def _mul(x, y) -> tuple:
+    # (a + b zeta)(c + d zeta) with zeta^2 = zeta - 1
+    (a, b), (c, d) = x, y
+    bd = b * d
+    return a * c - bd, a * d + b * c + bd
+
+
+def _dot(terms) -> tuple:
+    """The sum of x * y over the pairs (x, y) of elements of Z[zeta_6]."""
+    a = b = 0
+    for (p, q), (r, s) in terms:
+        qs = q * s
+        a += p * r - qs
+        b += p * s + q * r + qs
+    return a, b
+
+
+def _laplace_terms(i: int, j: int) -> list:
+    # P[i, j] by Laplace along rows {0, 1}; the order of the columns of the
+    # complementary minor of rows {2, 3} carries each term's sign
+    cols = [c for c in range(6) if c not in (i, j)]
+    terms = []
+    for p, q in combinations(range(4), 2):
+        c, d = (cols[x] for x in range(4) if x not in (p, q))
+        terms.append(((cols[p], cols[q]), (c, d) if (p + q + 1 + i + j) % 2 == 0 else (d, c)))
+    return terms
+
+
+_PAIRS = tuple(combinations(range(6), 2))
+_LAPLACE = {pair: _laplace_terms(*pair) for pair in _PAIRS}
+
+
+def _wedge(x, y) -> dict:
+    """The 2 x 2 minors x_i y_j - x_j y_i of two rows, keyed by (i, j) and (j, i)."""
+    minors = {}
+    for i, j in _PAIRS:
+        (a, b), (c, d) = _mul(x[i], y[j]), _mul(x[j], y[i])
+        minors[i, j], minors[j, i] = (a - c, b - d), (c - a, d - b)
+    return minors
+
+
+def _plucker(rows) -> dict:
+    """The signed 4 x 4 minors of four rows, an antisymmetric table.
+
+    P[i, j] is (-1)^(i + j) times the minor on the four columns other than
+    i and j, and P[j, i] = -P[i, j].  These are the Plucker coordinates of
+    the rows' span: another basis of the span scales them all by its
+    determinant.
+    """
+    top, bottom = _wedge(rows[0], rows[1]), _wedge(rows[2], rows[3])
+    table = {}
+    for pair, terms in _LAPLACE.items():
+        a, b = _dot((top[m], bottom[n]) for m, n in terms)
+        table[pair], table[pair[::-1]] = (a, b), (-a, -b)
+    return table
+
+
+def _dual_point(row, table) -> list:
+    """The signed 5 x 5 minors of `row` over the four rows behind `table`.
+
+    Entry j is sum_i row_i P[i, j], the Laplace expansion along `row` of
+    (-1)^j times the minor without column j.  The vector annihilates all
+    five rows, and it is zero exactly when they have rank below 5.
+    """
+    return [_dot((row[i], table[i, j]) for i in range(6) if i != j) for j in range(6)]
 
 
 def derive_jprime_and_compare(j: ProjectiveCurveMap,
@@ -358,18 +419,18 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
     twist (minus on the odd-weight block); the resulting intersection
     point must equal the candidate at s up to a single scalar.
 
-    Partners s, -s share those four hyperplanes, so each pair (k, k + 3)
-    has one 4 x 6 nullspace, a pencil {u, w}, and each point's own row r
-    picks (r.w) u - (r.u) w from it.  The five rows have full rank iff the
-    nullspace is 2-dimensional and that point is nonzero; otherwise
-    DegenerateFiber is raised.  Checks come in sample, then fiber order.
+    That point is the vector of signed 5 x 5 minors of the five rows, in
+    Z[zeta_6] as integer pairs A + B zeta_6, with no division.  Partners
+    s, -s share their four other rows, so each pair (k, k + 3) has one
+    table of signed 4 x 4 minors; a zero dual point raises DegenerateFiber.
+    Checks come in sample, then fiber order.
 
     Both maps must have rational coefficients, so complex conjugation
     sigma (zeta -> zeta^-1) takes point k to point -k.  Rows 1, 2, 4, 5
     are then two conjugate pairs: writing r = A + zeta B, the rational
-    rows A, B of points 1 and 2 span the same space, so pair 0's pencil
-    is a nullspace over Q.  Pair 2's rows are sigma of pair 1's, so its
-    echelon pencil is sigma of pair 1's, vector for vector.
+    rows A, B of points 1 and 2 span the same space, so pair 0's minors
+    are integers.  Pair 2's rows are sigma of pair 1's, so its minors are
+    sigma of pair 1's, up to one sign: A + B zeta -> (A + B) - B zeta.
     """
     if len(j.entries) != 6 or len(candidate.entries) != 6:
         raise ValueError("expected six-entry maps")
@@ -382,27 +443,20 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
     j_classes, candidate_classes = _residue_classes(j), _residue_classes(candidate)
     checks = []
     for t in samples:
-        pairs = [[(s * x, s * y) for s, (x, y) in zip(signs, row)]
-                 for row in _fiber_values(*j_classes, t)]
-        rows = [_in_field(row) for row in pairs]
-        rational = [[pair[i] for pair in pairs[k]] for k in (1, 2) for i in (0, 1)]
-        pencil = exact_matrix_nullspace(ExactMatrix([rows[k] for k in (0, 2, 3, 5)]))
-        pencils = (exact_matrix_nullspace(ExactMatrix(rational)), pencil,
-                   [tuple(x.galois(-1) if isinstance(x, Cyclotomic) else x for x in v)
-                    for v in pencil])
+        rows = [[(s * x, s * y) for s, (x, y) in zip(signs, row)]
+                for row in _fiber_values(*j_classes, t)]
+        rational = [[(pair[i], 0) for pair in rows[k]] for k in (1, 2) for i in (0, 1)]
+        pair1 = _plucker([rows[k] for k in (0, 2, 3, 5)])
+        tables = (_plucker(rational), pair1,
+                  {key: (a + b, -b) for key, (a, b) in pair1.items()})
         values = _fiber_values(*candidate_classes, t)
         for k in range(6):
-            # four rows in six columns leave a nullspace of dimension >= 2
-            u, w, *excess = pencils[k % 3]
-            a = sum(x * y for x, y in zip(rows[k], w))
-            b = sum(x * y for x, y in zip(rows[k], u))
-            if excess or (scalar_is_zero(a) and scalar_is_zero(b)):
+            dual = _dual_point(rows[k], tables[k % 3])
+            if not any(map(any, dual)):
                 raise DegenerateFiber(
                     f"hyperplane rows at fiber point {k} of sample {t} "
                     f"have rank below 5")
-            dual = tuple(a * x - b * y for x, y in zip(u, w))
-            matched = projective_equal(dual, _in_field(values[k]))
-            checks.append(JPrimeCheck(t, k, matched))
+            checks.append(JPrimeCheck(t, k, projective_equal(dual, values[k])))
     return JPrimeComparison(samples, tuple(checks))
 
 
@@ -445,7 +499,7 @@ def quadratic_pullback_table(jprime: ProjectiveCurveMap) -> PullbackTable:
                 matrix_rows.append([
                     as_fraction(quintic.terms.get(exps, Fraction(0)))
                     for exps in QUINTIC_BASIS])
-    rank = exact_matrix_rank(ExactMatrix(matrix_rows))
+    rank = exact_matrix_rank(matrix_rows)
     return PullbackTable(tuple(rows), rank)
 
 

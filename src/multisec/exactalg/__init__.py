@@ -7,16 +7,14 @@ from .scalars import (
     scalar_is_zero,
 )
 from .poly import SparseMultiPoly, binary_form_gcd, parse_poly
-from .matrix import ExactMatrix, exact_matrix_nullspace, exact_matrix_rank
+from .matrix import exact_matrix_rank
 
 __all__ = [
     "Cyclotomic",
-    "ExactMatrix",
     "SparseMultiPoly",
     "as_fraction",
     "binary_form_gcd",
     "cyclotomic_polynomial",
-    "exact_matrix_nullspace",
     "exact_matrix_rank",
     "parse_poly",
     "scalar_is_zero",

@@ -1,105 +1,51 @@
-"""Exact dense matrices: rank and right nullspace.
+"""Exact rank of a rational matrix, by fraction-free elimination over Z.
 
-Elimination is fraction-free in the Bareiss style: each update divides by
-the previous pivot, which is an exact division (the intermediate entries
-are minors), so integer-valued rational matrices stay integral throughout.
-The previous pivot is inverted once per pivot step and every update of
-that step multiplies by the inverse, so a step costs one field inversion
-however many entries it updates.  The scalars only need ring operations
-plus inversion, which both Fraction and Cyclotomic provide.
+Each row is scaled by the lcm of its denominators, which keeps the rank,
+and Bareiss elimination (Math. Comp. 1968) then runs on integers: each
+update divides by the previous pivot with `//`, and that division is exact
+because every intermediate entry is a minor of the scaled matrix.  No
+`Fraction` is built past the scaling.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .scalars import scalar_is_zero
+from .scalars import as_fraction
 
 
-class ExactMatrix:
-    """Immutable dense matrix of exact scalars."""
+def exact_matrix_rank(rows: Sequence[Sequence[object]]) -> int:
+    """Rank over Q of a matrix of rationals; exact and deterministic.
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[object]]):
-        rows = tuple(
-            tuple(Fraction(x) if isinstance(x, int) else x for x in row)
-            for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and column")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-
-def _bareiss_echelon(m: ExactMatrix) -> tuple[list[list[object]], list[int]]:
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    pivot_cols: list[int] = []
-    r = 0
-    prev = 1
+    Raises ValueError on an empty or ragged matrix and on an entry outside Q.
+    """
+    matrix = []
+    for row in rows:
+        row = [as_fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        matrix.append([x.numerator * (scale // x.denominator) for x in row])
+    if not matrix or not matrix[0]:
+        raise ValueError("matrix must have at least one row and column")
+    nr, nc = len(matrix), len(matrix[0])
+    if any(len(r) != nc for r in matrix):
+        raise ValueError("ragged rows")
+    rank, prev = 0, 1
     for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if not scalar_is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
+        pivot = next((i for i in range(rank, nr) if matrix[i][c]), None)
+        if pivot is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        top = rows[r]
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
         piv = top[c]
-        below = range(r + 1, nr)
-        inv_prev = 1 / prev if below and prev != 1 else None
         # below the pivot, columns up to c are never read again, so only
         # the columns right of c are updated
-        for i in below:
-            row = rows[i]
-            fi = row[c]
-            for j in range(c + 1, nc):
-                entry = row[j] * piv - fi * top[j]
-                row[j] = entry if inv_prev is None else entry * inv_prev
+        for row in matrix[rank + 1:]:
+            f = row[c]
+            for k in range(c + 1, nc):
+                row[k] = (row[k] * piv - f * top[k]) // prev
         prev = piv
-        pivot_cols.append(c)
-        r += 1
-        if r == nr:
+        rank += 1
+        if rank == nr:
             break
-    return rows[:r], pivot_cols
-
-
-def exact_matrix_rank(m: ExactMatrix) -> int:
-    """Rank over the fraction field; exact and deterministic."""
-    return len(_bareiss_echelon(m)[1])
-
-
-def exact_matrix_nullspace(m: ExactMatrix) -> list[tuple[object, ...]]:
-    """Echelon-normalized basis of the right nullspace.
-
-    Each basis vector carries a 1 in its free column and 0 in the other
-    free columns; pivot entries are solved by exact back-substitution.
-    """
-    rows, pivot_cols = _bareiss_echelon(m)
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v: list[object] = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for k in range(len(pivot_cols) - 1, -1, -1):
-            p = pivot_cols[k]
-            acc = Fraction(0)
-            for j in range(p + 1, m.cols):
-                if not scalar_is_zero(v[j]):
-                    acc = acc + rows[k][j] * v[j]
-            v[p] = -acc / rows[k][p]
-        basis.append(tuple(v))
-    return basis
+    return rank

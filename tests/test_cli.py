@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from multisec import cli
 
@@ -359,8 +359,8 @@ def _verdict(argv, out):
     return out.rstrip().rpartition("verdict: ")[2]
 
 
-# The slowest cold run at a cap in the README table is 0.80 s (64 samples of
-# height 10^100; `witness --a 1 --b 1 --e 10^12` takes 0.78 s).  Ten times
+# The slowest cold run at a cap in the README table is 0.78 s (`witness --a 1
+# --b 1 --e 10^12`; 64 samples of height 10^100 take 0.54 s).  Ten times
 # that leaves room for a slow or loaded host, while a flag that lost its cap
 # (an O(e) witness scan, 2^d subsets past d = 17) runs far longer.
 WALL_BOUND_S = 8.0
@@ -374,9 +374,16 @@ def _past_wall_bound(signum, frame):
     raise PastWallBound
 
 
-# a drawn command can reach a cap (hypersurface at d = 17, witness at e = 10^12)
+# a drawn command can reach a cap (hypersurface at d = 17, witness at e = 10^12);
+# the examples sit past each cap with valid companion flags, so a lost cap
+# runs past the wall bound instead of relying on the draw
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(command_lines())
+@example(["witness", "--a", "1", "--b", "1", "--e", str(10 ** 30)])
+@example(["hypersurface", "--d", "64", "--n", "64"])
+@example(["semigroup", "--d", "64", "--n", "64", "--query", str(10 ** 30)])
+@example(["verify-construction", "--samples=" + ",".join(map(str, range(1, 66)))])
+@example(["verify-construction", "--samples=1e101"])
 def test_any_command_line_exits_by_the_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _past_wall_bound)

@@ -34,10 +34,12 @@ from multisec.construct import (
 )
 from multisec.exactalg import SparseMultiPoly, parse_poly
 
+from test_matrix import gauss_jordan
 from test_pencil_oracle import (
     DEGENERATE_MAPS,
     MonomialCover,
     dual_point_on_fiber,
+    eisenstein,
     evaluate_map,
     hyperplane_row,
 )
@@ -262,7 +264,7 @@ def test_dual_point_matches_partner_of_missing_fiber_point():
         points = [fiber[i] for i in range(6) if i != missing]
         dual = dual_point_on_fiber(j, points, dual_signs=signs)
         partner = (missing + 3) % 6
-        assert projective_equal(dual, evaluate_map(jp, fiber[partner]))
+        assert projective_equal(eisenstein(dual), eisenstein(evaluate_map(jp, fiber[partner])))
 
 
 def test_dual_point_repeated_point_degenerate():
@@ -275,14 +277,11 @@ def test_dual_point_repeated_point_degenerate():
 
 @pytest.mark.parametrize("entries, pencil_dim", DEGENERATE_MAPS)
 def test_derive_jprime_degenerate_maps(entries, pencil_dim):
-    from multisec.exactalg import ExactMatrix, exact_matrix_nullspace
-
     j = curve_map(*entries)
     signs = standard_weight_action().involution_signs()
     fiber = MonomialCover(6).fiber(Fraction(2))
     rows = [hyperplane_row(j, point, signs) for point in fiber]
-    shared = ExactMatrix([rows[i] for i in (1, 2, 4, 5)])
-    assert len(exact_matrix_nullspace(shared)) == pencil_dim
+    assert len(gauss_jordan([rows[i] for i in (1, 2, 4, 5)])[1]) == pencil_dim
     with pytest.raises(DegenerateFiber, match="fiber point 0 of sample 2"):
         derive_jprime_and_compare(j, corrected_jprime(), samples=(2, 3))
     with pytest.raises(DegenerateFiber):
@@ -291,14 +290,11 @@ def test_derive_jprime_degenerate_maps(entries, pencil_dim):
 
 def test_five_distinct_fiber_points_have_rank_five():
     # linearly general position on a degree-5 normal curve
-    from multisec.exactalg import ExactMatrix, exact_matrix_nullspace, exact_matrix_rank
-
     j = corrected_j()
     fiber = MonomialCover(6).fiber(Fraction(2))
-    rows = [list(evaluate_map(j, fiber[i])) for i in range(5)]
-    matrix = ExactMatrix(rows)
-    assert exact_matrix_rank(matrix) == 5
-    assert len(exact_matrix_nullspace(matrix)) == 1
+    rank, basis = gauss_jordan([list(evaluate_map(j, fiber[i])) for i in range(5)])
+    assert rank == 5
+    assert len(basis) == 1
 
 
 def test_derive_jprime_matches_corrected_closed_form():
@@ -336,10 +332,13 @@ def test_derive_jprime_rejects_duplicate_samples():
 
 
 def test_projective_equal_basics():
-    assert projective_equal((1, 2), (2, 4))
-    assert not projective_equal((1, 2), (2, 5))
-    assert not projective_equal((0, 0), (0, 1))
-    assert projective_equal((0, 3), (0, 1))
+    assert projective_equal(((1, 0), (2, 0)), ((2, 0), (4, 0)))
+    assert not projective_equal(((1, 0), (2, 0)), ((2, 0), (5, 0)))
+    assert not projective_equal(((0, 0), (0, 0)), ((0, 0), (1, 0)))
+    assert projective_equal(((0, 0), (3, 0)), ((0, 0), (1, 0)))
+    # zeta * (1, zeta) = (zeta, zeta - 1)
+    assert projective_equal(((1, 0), (0, 1)), ((0, 1), (-1, 1)))
+    assert not projective_equal(((1, 0), (0, 1)), ((0, 1), (1, -1)))
 
 
 # -- the pullback table ---------------------------------------------------------

@@ -1,15 +1,17 @@
 """The Galois-structured derivation against the cyclotomic pencil path.
 
 `derive_jprime_and_compare` reads each fiber row off integer residue-class
-sums, solves pair 0's pencil over Q and takes pair 2's as the conjugate
-of pair 1's.  `pencil_oracle` below is the path it replaced: it evaluates
+sums and takes each dual point as the signed 5 x 5 minors of its rows over
+Z[zeta_6], sharing one table of 4 x 4 minors per partner pair.
+`pencil_oracle` below is the pencil path it replaced: it evaluates
 both maps at the fiber points `MonomialCover(6).fiber(t)` over Q(zeta_6),
 solves one cyclotomic 4 x 6 nullspace per partner pair and compares by
 all 15 cross products.  Both must agree check for check, and fail on a
 degenerate map at the same fiber point with the same message.
 
 `dual_point_on_fiber` is the per-point oracle: it evaluates the map at
-five fiber points and solves the full five-row system.  The report holds
+five fiber points and solves the full five-row system.  Both oracles solve
+by `gauss_jordan`, the naive elimination of `test_matrix`.  The report holds
 only match flags, so that comparison runs through the candidate: for a
 map j with its entries rescaled by c, the dual map is the closed form with
 its entries rescaled by 1/c.  Where that candidate matches both the
@@ -25,6 +27,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from multisec import construct
 from multisec.construct import (
     QUINTIC_BASIS,
     SOURCE_VARS,
@@ -40,12 +43,13 @@ from multisec.construct import (
 )
 from multisec.exactalg import (
     Cyclotomic,
-    ExactMatrix,
     SparseMultiPoly,
-    exact_matrix_nullspace,
+    exact_matrix_rank,
     parse_poly,
     scalar_is_zero,
 )
+
+from test_matrix import gauss_jordan, low_rank_matrices
 
 
 @dataclass(frozen=True)
@@ -105,12 +109,16 @@ def dual_point_on_fiber(curve_map, fiber_points, dual_signs=None) -> tuple:
     signs = tuple(dual_signs) if dual_signs is not None else (1,) * n
     if len(signs) != n:
         raise ValueError("one sign per entry required")
-    basis = exact_matrix_nullspace(ExactMatrix(
-        [hyperplane_row(curve_map, point, signs) for point in fiber_points]))
+    basis = gauss_jordan([hyperplane_row(curve_map, point, signs) for point in fiber_points])[1]
     if len(basis) != 1:
         raise DegenerateFiber(
             f"hyperplane rows have rank {n - len(basis)}, need {n - 1}")
     return basis[0]
+
+
+def eisenstein(vector) -> list:
+    """Scalars of Q(zeta_6) as the pairs (a, b) = a + b zeta_6 of `projective_equal`."""
+    return [tuple(x.coeffs) if isinstance(x, Cyclotomic) else (x, 0) for x in vector]
 
 
 def projective_equal_all_pairs(u, v) -> bool:
@@ -128,8 +136,8 @@ def pencil_oracle(j, candidate, samples) -> list[tuple[Fraction, int, bool]]:
     for t in map(Fraction, samples):
         fiber = MonomialCover(6).fiber(t)
         rows = [hyperplane_row(j, point, signs) for point in fiber]
-        pencils = [exact_matrix_nullspace(ExactMatrix(
-            [row for i, row in enumerate(rows) if i % 3 != pair])) for pair in range(3)]
+        pencils = [gauss_jordan([row for i, row in enumerate(rows) if i % 3 != pair])[1]
+                   for pair in range(3)]
         for k in range(6):
             u, w, *excess = pencils[k % 3]
             a = sum(x * y for x, y in zip(rows[k], w))
@@ -236,14 +244,14 @@ def test_pencil_dual_points_match_per_point_nullspace(samples, factors, shift):
 
     report = derive_jprime_and_compare(j, candidate, samples)
     assert [(c.sample, c.fiber_index) for c in report.checks] == order
-    assert all(projective_equal(dual, evaluate_map(candidate, point))
+    assert all(projective_equal(eisenstein(dual), eisenstein(evaluate_map(candidate, point)))
                for point, dual in zip(points, duals))
     assert report.all_match
 
     report = derive_jprime_and_compare(j, rotation, samples)
     assert [(c.sample, c.fiber_index) for c in report.checks] == order
     assert [c.matched for c in report.checks] == [
-        projective_equal(dual, evaluate_map(rotation, point))
+        projective_equal(eisenstein(dual), eisenstein(evaluate_map(rotation, point)))
         for point, dual in zip(points, duals)]
 
 
@@ -290,6 +298,43 @@ def test_degenerate_maps_fail_where_the_oracle_fails(case, samples):
     assert outcome(derived_checks, j, corrected_jprime(), samples) == expected
 
 
+def transformed(curve_map, matrix, signs=(1,) * 6):
+    """The map whose entry e is signs[e] * sum_c matrix[e][c] * signs[c] * entry c."""
+    return ProjectiveCurveMap(curve_map.source_vars, tuple(
+        sum((s * a * t * x for a, t, x in zip(row, signs, curve_map.entries)),
+            SparseMultiPoly.zero(curve_map.source_vars))
+        for s, row in zip(signs, matrix)), curve_map.target_labels)
+
+
+def inverse_transpose(matrix):
+    """The rows of (A^-1)^T: the nullspace of [A | -I] holds (A^-1 e_m, e_m)."""
+    n = len(matrix)
+    basis = gauss_jordan([row + [-int(i == k) for k in range(n)]
+                          for i, row in enumerate(matrix)])[1]
+    return [v[:n] for v in basis]
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), min_size=6, max_size=6)
+       .map(lambda rows: [[x + (i == k) * 5 for k, x in enumerate(row)]
+                          for i, row in enumerate(rows)]),
+       st.lists(st.one_of(nonzero, tall), min_size=1, max_size=2, unique_by=Fraction))
+@example([[1, 1, 1, 1, 1, 1]] + [[int(i == k) for k in range(6)] for i in range(1, 6)], [2])
+def test_derivation_follows_a_change_of_target_coordinates(matrix, samples):
+    # the hyperplane rows of A j at a point are D A j there (D the involution
+    # signs), so v annihilates them iff D A^T D v annihilates the rows of j:
+    # the dual map of A j is D A^-T D j'.  Mixing the slots mixes the
+    # residue classes, so no row is a monomial scaling of a fixed vector.
+    if exact_matrix_rank(matrix) < 6:
+        return
+    signs = standard_weight_action().involution_signs()
+    j = transformed(corrected_j(), matrix)
+    candidate = transformed(corrected_jprime(), inverse_transpose(matrix), signs)
+    report = derive_jprime_and_compare(j, candidate, samples)
+    assert report.all_match
+    assert derived_checks(j, candidate, samples) == pencil_oracle(j, candidate, samples)
+
+
 vectors = st.lists(st.integers(-3, 3), min_size=1, max_size=7)
 
 
@@ -313,13 +358,13 @@ def test_pivoted_projective_equal_matches_all_pairs(pair, cyclotomic):
     if cyclotomic:  # the same question over Q(zeta_6), scaled by 1 + zeta
         unit = Cyclotomic(6, [1, 1])
         u, v = [unit * x for x in u], [unit * unit * x for x in v]
-    assert projective_equal(u, v) == projective_equal_all_pairs(u, v)
-    assert projective_equal(v, u) == projective_equal_all_pairs(v, u)
+    assert projective_equal(eisenstein(u), eisenstein(v)) == projective_equal_all_pairs(u, v)
+    assert projective_equal(eisenstein(v), eisenstein(u)) == projective_equal_all_pairs(v, u)
 
 
 def test_projective_equal_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        projective_equal((1, 2), (1, 2, 3))
+        projective_equal(eisenstein((1, 2)), eisenstein((1, 2, 3)))
 
 
 def test_derivation_needs_rational_coefficients():
@@ -331,3 +376,29 @@ def test_derivation_needs_rational_coefficients():
         derive_jprime_and_compare(twisted, corrected_jprime(), (2,))
     with pytest.raises(ValueError, match="not rational"):
         derive_jprime_and_compare(j, twisted, (2,))
+
+
+eisenstein_integers = st.builds(lambda a, b: Cyclotomic(6, [a, b]),
+                                st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(deadline=None)
+@given(st.one_of(*(strategy for scalars in (st.integers(-6, 6), eisenstein_integers)
+                   for strategy in (st.lists(st.lists(scalars, min_size=6, max_size=6),
+                                             min_size=5, max_size=5),
+                                    low_rank_matrices(scalars, 5, 6, 5)))))
+@example([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]])
+@example([[0, 0, 0, 0, 0, 1], [1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 12],
+          [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]])  # shared rows of rank 3
+def test_signed_minors_are_the_nullspace_ray(rows):
+    # the first row is a point's own row, the other four the shared ones
+    pairs = [eisenstein(row) for row in rows]
+    dual = construct._dual_point(pairs[0], construct._plucker(pairs[1:]))
+    as_field = [Cyclotomic(6, d) for d in dual]
+    for row in rows:
+        assert sum((x * y for x, y in zip(row, as_field)), Fraction(0)) == 0
+    rank, basis = gauss_jordan(rows)
+    assert (not any(as_field)) == (rank < 5)
+    if rank == 5:
+        assert projective_equal_all_pairs(as_field, basis[0])
