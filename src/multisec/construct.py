@@ -8,8 +8,9 @@ by scaling S1 and on the six target coordinates X+0..X-2 with weights
 odd coordinates are the X- block.
 
 Everything is verified by exact arithmetic: equivariance by degree
-bookkeeping, the derived dual map by signed minors over Z[zeta_6] on
-the fiber, the quadratic pullback table by polynomial expansion and an
+bookkeeping, the derived dual map as signed minors over Z[s], built once
+and evaluated in Z[zeta_6] at each sampled fiber point s = zeta_6^k t,
+the quadratic pullback table by polynomial expansion and an
 exact rank computation, and the norm map by expanding the product over the
 deck transformations.  `construction_checks` runs them on the fixtures and
 returns the verify-construction suite in report order.
@@ -235,8 +236,7 @@ def paired_quadric_descend(j: ProjectiveCurveMap) -> QuadricFamily:
     return QuadricFamily(CURVE_VARS, coefficients)
 
 
-def monomial_norm(p: SparseMultiPoly, d: int,
-                  target_vars: Sequence[str] = BASE_VARS) -> SparseMultiPoly:
+def monomial_norm(p: SparseMultiPoly, d: int) -> SparseMultiPoly:
     """Norm of a form along the degree-d monomial cover.
 
     Multiplies the d conjugates p(zeta^k T0, T1) over the cyclotomic field
@@ -249,7 +249,7 @@ def monomial_norm(p: SparseMultiPoly, d: int,
     if not p.is_homogeneous():
         raise ValueError(f"norm input must be homogeneous: {p}")
     if p.is_zero():
-        return SparseMultiPoly.zero(target_vars)
+        return SparseMultiPoly.zero(BASE_VARS)
     zeta = Cyclotomic.zeta(d)
     product = SparseMultiPoly.constant(p.variables, Fraction(1))
     for k in range(d):
@@ -259,7 +259,7 @@ def monomial_norm(p: SparseMultiPoly, d: int,
     except ValueError as exc:
         raise InternalNonRational(str(exc)) from exc
     try:
-        return rational.divide_exponents(d, target_vars)
+        return rational.divide_exponents(d, BASE_VARS)
     except ValueError as exc:
         raise InternalNonRational(str(exc)) from exc
 
@@ -308,32 +308,35 @@ DEFAULT_JPRIME_SAMPLES = (1, 2, 3, 5, 7)
 _ZETA6_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
-def _residue_classes(curve_map: ProjectiveCurveMap) -> tuple[int, list]:
-    """Each entry's terms as integer (a, c) lists by S0-degree a mod 6.
+def _int_polys(curve_map: ProjectiveCurveMap) -> list[dict[int, int]]:
+    """Each entry at [s, 1] as an integer polynomial {degree: coefficient} in s.
 
     The coefficients are scaled by the lcm of their denominators, and
-    `as_fraction` raises ValueError on one outside Q.  The largest a comes
-    first in the result.
+    `as_fraction` raises ValueError on one outside Q.
     """
     terms = [[(exps[0], as_fraction(c)) for exps, c in e.terms.items()]
              for e in curve_map.entries]
     scale = lcm(*(c.denominator for entry in terms for _, c in entry))
-    classes = [[[(a, c.numerator * (scale // c.denominator)) for a, c in entry if a % 6 == r]
-                for r in range(6)] for entry in terms]
-    return max(a for entry in terms for a, _ in entry), classes
+    return [{a: c.numerator * (scale // c.denominator) for a, c in entry} for entry in terms]
 
 
-def _fiber_values(top: int, classes: list, t: Fraction) -> list[list[tuple[int, int]]]:
-    """The entries at [zeta_6^k t, 1], k = 0..5, as pairs (A, B) = A + B zeta_6.
+def _fiber_values(polys: list, t: Fraction) -> list[list[tuple[int, int]]]:
+    """The polynomials at s = zeta_6^k t, k = 0..5, as pairs (A, B) = A + B zeta_6.
 
-    Each point's vector is scaled by q^top for t = p/q: the terms c S0^a of
-    class r sum to the integer Q_r = sum c p^a q^(top - a), and the entry
-    at point k is sum_r Q_r zeta^(kr).
+    Each point's vector is scaled by q^top for t = p/q, top the largest
+    degree: the terms c s^a of class r = a mod 6 sum to the integer
+    Q_r = sum c p^a q^(top - a), and the value at point k is
+    sum_r Q_r zeta^(kr).
     """
     p, q = t.numerator, t.denominator
+    top = max(a for f in polys for a in f)
     weights = [p ** a * q ** (top - a) for a in range(top + 1)]
-    sums = [[(r, sum(c * weights[a] for a, c in terms))
-             for r, terms in enumerate(entry) if terms] for entry in classes]
+    sums = []
+    for f in polys:
+        classes = [0] * 6
+        for a, c in f.items():
+            classes[a % 6] += c * weights[a]
+        sums.append([(r, q_r) for r, q_r in enumerate(classes) if q_r])
     return [[(sum(_ZETA6_POWERS[k * r % 6][0] * q_r for r, q_r in entry),
               sum(_ZETA6_POWERS[k * r % 6][1] * q_r for r, q_r in entry))
              for entry in sums] for k in range(6)]
@@ -344,16 +347,6 @@ def _mul(x, y) -> tuple:
     (a, b), (c, d) = x, y
     bd = b * d
     return a * c - bd, a * d + b * c + bd
-
-
-def _dot(terms) -> tuple:
-    """The sum of x * y over the pairs (x, y) of elements of Z[zeta_6]."""
-    a = b = 0
-    for (p, q), (r, s) in terms:
-        qs = q * s
-        a += p * r - qs
-        b += p * s + q * r + qs
-    return a, b
 
 
 def _laplace_terms(i: int, j: int) -> list:
@@ -371,45 +364,56 @@ _PAIRS = tuple(combinations(range(6), 2))
 _LAPLACE = {pair: _laplace_terms(*pair) for pair in _PAIRS}
 
 
-def _wedge(x, y) -> dict:
-    """The 2 x 2 minors x_i y_j - x_j y_i of two rows, keyed by (i, j) and (j, i)."""
-    minors = {}
-    for i, j in _PAIRS:
-        (a, b), (c, d) = _mul(x[i], y[j]), _mul(x[j], y[i])
-        minors[i, j], minors[j, i] = (a - c, b - d), (c - a, d - b)
-    return minors
+def _poly_dot(terms) -> dict[int, int]:
+    """The sum of f * g over the pairs (f, g) of polynomials {degree: int}."""
+    out: dict[int, int] = {}
+    for f, g in terms:
+        for a, x in f.items():
+            for b, y in g.items():
+                out[a + b] = out.get(a + b, 0) + x * y
+    return {a: c for a, c in out.items() if c}
 
 
-def _plucker(rows) -> dict:
-    """The signed 4 x 4 minors of four rows, an antisymmetric table.
+def _negated(f: dict[int, int]) -> dict[int, int]:
+    return {a: -c for a, c in f.items()}
 
-    P[i, j] is (-1)^(i + j) times the minor on the four columns other than
-    i and j, and P[j, i] = -P[i, j].  These are the Plucker coordinates of
-    the rows' span: another basis of the span scales them all by its
-    determinant.
+
+def _symbolic_dual(j: ProjectiveCurveMap) -> list[dict[int, int]]:
+    """The dual point of the fiber point [s, 1] as a polynomial vector over Z[s].
+
+    Row m of the fiber of s is the twisted j(zeta^m s) = A_m(s) + zeta B_m(s),
+    with A_m, B_m over Z[s].  As j has rational coefficients, rows 5 and 4
+    are A_1 + zeta^-1 B_1 and A_2 + zeta^-1 B_2, so rows 1, 2, 4, 5 span
+    what A_1, B_1, A_2, B_2 span; the partner row 3 is left out.  The signed
+    5 x 5 minors of j(s), A_1, B_1, A_2, B_2 are therefore the dual point
+    up to a nonzero constant.  By Laplace, each is the sum of j(s)'s
+    entries against the signed 4 x 4 minors P of the last four rows, each
+    P in turn a sum of products of their 2 x 2 minors.  The common power
+    of s, a nonzero scalar off s = 0, is stripped.
     """
-    top, bottom = _wedge(rows[0], rows[1]), _wedge(rows[2], rows[3])
-    table = {}
+    signs = standard_weight_action().involution_signs()
+    own = [{a: sign * c for a, c in f.items()} for sign, f in zip(signs, _int_polys(j))]
+    rows = [[{a: c * _ZETA6_POWERS[m * a % 6][part] for a, c in f.items()
+              if _ZETA6_POWERS[m * a % 6][part]} for f in own]
+            for m in (1, 2) for part in (0, 1)]
+    wedges = [{}, {}]
+    for wedge, (x, y) in zip(wedges, (rows[:2], rows[2:])):
+        for i, k in _PAIRS:
+            minor = _poly_dot(((x[i], y[k]), (_negated(x[k]), y[i])))
+            wedge[i, k], wedge[k, i] = minor, _negated(minor)
+    plucker = {}
     for pair, terms in _LAPLACE.items():
-        a, b = _dot((top[m], bottom[n]) for m, n in terms)
-        table[pair], table[pair[::-1]] = (a, b), (-a, -b)
-    return table
-
-
-def _dual_point(row, table) -> list:
-    """The signed 5 x 5 minors of `row` over the four rows behind `table`.
-
-    Entry j is sum_i row_i P[i, j], the Laplace expansion along `row` of
-    (-1)^j times the minor without column j.  The vector annihilates all
-    five rows, and it is zero exactly when they have rank below 5.
-    """
-    return [_dot((row[i], table[i, j]) for i in range(6) if i != j) for j in range(6)]
+        minor = _poly_dot((wedges[0][m], wedges[1][n]) for m, n in terms)
+        plucker[pair], plucker[pair[::-1]] = minor, _negated(minor)
+    dual = [_poly_dot((own[i], plucker[i, k]) for i in range(6) if i != k) for k in range(6)]
+    low = min((a for f in dual for a in f), default=0)
+    return [{a - low: c for a, c in f.items()} for f in dual]
 
 
 def derive_jprime_and_compare(j: ProjectiveCurveMap,
                               candidate: ProjectiveCurveMap,
                               samples: Sequence = DEFAULT_JPRIME_SAMPLES) -> JPrimeComparison:
-    """Derive the dual map point-by-point and compare with a closed form.
+    """Derive the dual map once as polynomials and compare it at sampled points.
 
     For each sample t, the fiber of the composed degree-6 cover is the six
     points [zeta_6^k t, 1].  The component through a fiber point s is cut
@@ -419,18 +423,13 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
     twist (minus on the odd-weight block); the resulting intersection
     point must equal the candidate at s up to a single scalar.
 
-    That point is the vector of signed 5 x 5 minors of the five rows, in
-    Z[zeta_6] as integer pairs A + B zeta_6, with no division.  Partners
-    s, -s share their four other rows, so each pair (k, k + 3) has one
-    table of signed 4 x 4 minors; a zero dual point raises DegenerateFiber.
-    Checks come in sample, then fiber order.
-
-    Both maps must have rational coefficients, so complex conjugation
-    sigma (zeta -> zeta^-1) takes point k to point -k.  Rows 1, 2, 4, 5
-    are then two conjugate pairs: writing r = A + zeta B, the rational
-    rows A, B of points 1 and 2 span the same space, so pair 0's minors
-    are integers.  Pair 2's rows are sigma of pair 1's, so its minors are
-    sigma of pair 1's, up to one sign: A + B zeta -> (A + B) - B zeta.
+    That point is D(s), the vector of signed 5 x 5 minors of the rows,
+    built once over Z[s] by `_symbolic_dual`.  Fiber point k of sample t
+    is s = zeta_6^k t, so each check evaluates D and the candidate there,
+    in integer pairs A + B zeta_6, with no division; D(s) = 0, which means
+    the five rows have rank below 5, raises DegenerateFiber.  Both maps
+    must have rational coefficients.  Checks come in sample, then fiber
+    order.
     """
     if len(j.entries) != 6 or len(candidate.entries) != 6:
         raise ValueError("expected six-entry maps")
@@ -439,24 +438,16 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
         raise SampleZero("samples must avoid the totally ramified fiber at 0")
     if len(set(samples)) != len(samples):
         raise ValueError("samples must be pairwise distinct")
-    signs = standard_weight_action().involution_signs()
-    j_classes, candidate_classes = _residue_classes(j), _residue_classes(candidate)
+    polys = _symbolic_dual(j) + _int_polys(candidate)
     checks = []
     for t in samples:
-        rows = [[(s * x, s * y) for s, (x, y) in zip(signs, row)]
-                for row in _fiber_values(*j_classes, t)]
-        rational = [[(pair[i], 0) for pair in rows[k]] for k in (1, 2) for i in (0, 1)]
-        pair1 = _plucker([rows[k] for k in (0, 2, 3, 5)])
-        tables = (_plucker(rational), pair1,
-                  {key: (a + b, -b) for key, (a, b) in pair1.items()})
-        values = _fiber_values(*candidate_classes, t)
-        for k in range(6):
-            dual = _dual_point(rows[k], tables[k % 3])
+        for k, values in enumerate(_fiber_values(polys, t)):
+            dual = values[:6]
             if not any(map(any, dual)):
                 raise DegenerateFiber(
                     f"hyperplane rows at fiber point {k} of sample {t} "
                     f"have rank below 5")
-            checks.append(JPrimeCheck(t, k, projective_equal(dual, values[k])))
+            checks.append(JPrimeCheck(t, k, projective_equal(dual, values[6:])))
     return JPrimeComparison(samples, tuple(checks))
 
 

@@ -73,17 +73,6 @@ class SparseMultiPoly:
     def constant(cls, variables: Sequence[str], value) -> "SparseMultiPoly":
         return cls(variables, {(0,) * len(tuple(variables)): value})
 
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "SparseMultiPoly":
-        variables = tuple(variables)
-        exps = [0] * len(variables)
-        exps[variables.index(name)] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, variables: Sequence[str], exps: Exponent, coeff=1) -> "SparseMultiPoly":
-        return cls(variables, {tuple(exps): coeff})
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -311,6 +311,20 @@ def test_samples_at_the_caps_are_accepted(monkeypatch):
     assert seen[0][:3] == (Fraction(cap), Fraction(-1, cap), Fraction(cap - 1, cap))
 
 
+def test_samples_cap_is_64_values(capsys):
+    # literal lists, so a raised or lost cap fails here
+    assert cli.main(["verify-construction", "--json",
+                     "--samples=" + ",".join(str(k) for k in range(1, 65))]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["inputs"]["samples"]) == 64
+    assert payload["verdict"] == "verified"
+    assert cli.main(["verify-construction", "--json",
+                     "--samples=" + ",".join(str(k) for k in range(1, 66))]) == 2
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err
+    assert captured.out == ""
+
+
 # integer flag values: in range, at and past each cap, negative, zero,
 # exponent and decimal forms, and integers at and past the 4,300-digit limit
 integer_values = st.one_of(
@@ -360,7 +374,7 @@ def _verdict(argv, out):
 
 
 # The slowest cold run at a cap in the README table is 0.78 s (`witness --a 1
-# --b 1 --e 10^12`; 64 samples of height 10^100 take 0.54 s).  Ten times
+# --b 1 --e 10^12`; 64 samples of height 10^100 take 0.10 s).  Ten times
 # that leaves room for a slow or loaded host, while a flag that lost its cap
 # (an O(e) witness scan, 2^d subsets past d = 17) runs far longer.
 WALL_BOUND_S = 8.0

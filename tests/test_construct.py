@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multisec import construct
 from multisec.construct import (
@@ -42,6 +43,7 @@ from test_pencil_oracle import (
     eisenstein,
     evaluate_map,
     hyperplane_row,
+    quintic_map,
 )
 
 
@@ -295,6 +297,21 @@ def test_five_distinct_fiber_points_have_rank_five():
     rank, basis = gauss_jordan([list(evaluate_map(j, fiber[i])) for i in range(5)])
     assert rank == 5
     assert len(basis) == 1
+
+
+def test_symbolic_dual_of_corrected_j_is_12_jprime():
+    expected = [{exps[0]: 12 * c for exps, c in e.terms.items()}
+                for e in corrected_jprime().entries]
+    assert construct._symbolic_dual(corrected_j()) == expected
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9).filter(bool), min_size=6, max_size=6),
+                min_size=6, max_size=6))
+def test_symbolic_dual_of_a_quintic_spans_a_window_of_five(matrix):
+    # each row at [s, 1] is sum_a s^a c_a, so by Cauchy-Binet each 5 x 5 minor
+    # is a sum over five of the six exponents: D = s^10 Q with deg Q <= 5
+    assert all(0 <= a <= 5 for f in construct._symbolic_dual(quintic_map(matrix)) for a in f)
 
 
 def test_derive_jprime_matches_corrected_closed_form():

@@ -1,9 +1,9 @@
-"""The Galois-structured derivation against the cyclotomic pencil path.
+"""The symbolic derivation against the cyclotomic pencil path.
 
-`derive_jprime_and_compare` reads each fiber row off integer residue-class
-sums and takes each dual point as the signed 5 x 5 minors of its rows over
-Z[zeta_6], sharing one table of 4 x 4 minors per partner pair.
-`pencil_oracle` below is the pencil path it replaced: it evaluates
+`derive_jprime_and_compare` builds the dual map once, as the signed 5 x 5
+minors of the fiber rows over Z[s], and evaluates it and the candidate at
+each fiber point s = zeta_6^k t from integer residue-class sums.
+`pencil_oracle` below is the pencil path that came before it: it evaluates
 both maps at the fiber points `MonomialCover(6).fiber(t)` over Q(zeta_6),
 solves one cyclotomic 4 x 6 nullspace per partner pair and compares by
 all 15 cross products.  Both must agree check for check, and fail on a
@@ -17,8 +17,8 @@ map j with its entries rescaled by c, the dual map is the closed form with
 its entries rescaled by 1/c.  Where that candidate matches both the
 per-point dual point and the report, the derivation's dual point equals
 the per-point one.  `evaluate` and `evaluate_map` are the evaluation at a
-point that the oracles use; the program itself never evaluates a
-polynomial, as it reads fiber values off integer residue-class sums.
+point that the oracles use; the program itself evaluates only integer
+polynomials, through residue-class sums.
 """
 
 from dataclasses import dataclass
@@ -378,27 +378,35 @@ def test_derivation_needs_rational_coefficients():
         derive_jprime_and_compare(j, twisted, (2,))
 
 
-eisenstein_integers = st.builds(lambda a, b: Cyclotomic(6, [a, b]),
-                                st.integers(-6, 6), st.integers(-6, 6))
+def quintic_map(matrix):
+    """The map whose entry e has coefficient matrix[e][a] on S0^a S1^(5 - a)."""
+    return ProjectiveCurveMap(SOURCE_VARS, tuple(
+        SparseMultiPoly(SOURCE_VARS, {(a, 5 - a): Fraction(c) for a, c in enumerate(row)})
+        for row in matrix), TARGET_LABELS)
+
+
+coefficient_matrices = st.one_of(
+    st.lists(st.lists(st.integers(-6, 6), min_size=6, max_size=6), min_size=6, max_size=6),
+    low_rank_matrices(st.integers(-6, 6), 6, 6, 5),
+).filter(lambda matrix: any(map(any, matrix)))
 
 
 @settings(deadline=None)
-@given(st.one_of(*(strategy for scalars in (st.integers(-6, 6), eisenstein_integers)
-                   for strategy in (st.lists(st.lists(scalars, min_size=6, max_size=6),
-                                             min_size=5, max_size=5),
-                                    low_rank_matrices(scalars, 5, 6, 5)))))
-@example([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
-          [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]])
-@example([[0, 0, 0, 0, 0, 1], [1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 12],
-          [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]])  # shared rows of rank 3
-def test_signed_minors_are_the_nullspace_ray(rows):
-    # the first row is a point's own row, the other four the shared ones
-    pairs = [eisenstein(row) for row in rows]
-    dual = construct._dual_point(pairs[0], construct._plucker(pairs[1:]))
-    as_field = [Cyclotomic(6, d) for d in dual]
+@given(st.one_of(coefficient_matrices.map(quintic_map),
+                 st.sampled_from(DEGENERATE_MAPS).map(lambda case: curve_map(case[0])),
+                 st.just(corrected_j())),
+       nonzero)
+def test_signed_minors_are_the_nullspace_ray(j, s):
+    # the symbolic dual at s against the five hyperplane rows at [s, 1] and
+    # at the fiber points other than its partner, over Q(zeta_6)
+    dual = [sum((c * s ** a for a, c in f.items()), Fraction(0))
+            for f in construct._symbolic_dual(j)]
+    signs = standard_weight_action().involution_signs()
+    fiber = MonomialCover(6).fiber(s)
+    rows = [hyperplane_row(j, fiber[m], signs) for m in (0, 1, 2, 4, 5)]
     for row in rows:
-        assert sum((x * y for x, y in zip(row, as_field)), Fraction(0)) == 0
+        assert scalar_is_zero(sum((x * y for x, y in zip(row, dual)), Fraction(0)))
     rank, basis = gauss_jordan(rows)
-    assert (not any(as_field)) == (rank < 5)
+    assert (not any(dual)) == (rank < 5)
     if rank == 5:
-        assert projective_equal_all_pairs(as_field, basis[0])
+        assert projective_equal_all_pairs(dual, basis[0])
