@@ -255,11 +255,7 @@ def monomial_norm(p: SparseMultiPoly, d: int) -> SparseMultiPoly:
     for k in range(d):
         product = product * p.scale_variable(0, zeta ** k)
     try:
-        rational = product.map_coefficients(as_fraction)
-    except ValueError as exc:
-        raise InternalNonRational(str(exc)) from exc
-    try:
-        return rational.divide_exponents(d, BASE_VARS)
+        return product.map_coefficients(as_fraction).divide_exponents(d, BASE_VARS)
     except ValueError as exc:
         raise InternalNonRational(str(exc)) from exc
 

@@ -1,11 +1,6 @@
 """Exact scalar, polynomial, and linear-algebra kernel."""
 
-from .scalars import (
-    Cyclotomic,
-    as_fraction,
-    cyclotomic_polynomial,
-    scalar_is_zero,
-)
+from .scalars import Cyclotomic, as_fraction, cyclotomic_polynomial
 from .poly import SparseMultiPoly, binary_form_gcd, parse_poly
 from .matrix import exact_matrix_rank
 
@@ -17,5 +12,4 @@ __all__ = [
     "cyclotomic_polynomial",
     "exact_matrix_rank",
     "parse_poly",
-    "scalar_is_zero",
 ]

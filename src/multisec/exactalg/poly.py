@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 A polynomial is a map from exponent tuples (one entry per variable) to
-nonzero scalars.  Coefficients are Fraction or Cyclotomic, uniform within a
-polynomial in practice; mixed arithmetic coerces through the scalar types.
+nonzero coefficients.  Coefficients are Fraction, except in the
+intermediate products of `construct.monomial_norm`, which hold elements of
+a cyclotomic ring: those this module only adds, multiplies and tests for
+zero (by truth value), so it never names their type.  Polynomials add to
+polynomials only, and multiply by polynomials, ints and Fractions.
 
 Canonical text form: terms in descending graded-lexicographic order joined
 by " + "/" - ", coefficient as "p" or "p/q", monomial factors "var^e"
@@ -12,7 +15,7 @@ joined by "*" (exponent 1 written bare).  Examples::
 
 The parser accepts exactly this family of strings with rational
 coefficients; it is used for the plain-text fixture files and accepted in
-tests.
+tests.  Only rational coefficients print.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import Cyclotomic, scalar_is_zero
 from .univariate import monic_gcd
 
 Exponent = tuple[int, ...]
@@ -53,7 +55,7 @@ class SparseMultiPoly:
                 coeff = Fraction(coeff)
             if exps in clean:
                 coeff = clean[exps] + coeff
-            if scalar_is_zero(coeff):
+            if not coeff:
                 clean.pop(exps, None)
             else:
                 clean[exps] = coeff
@@ -99,30 +101,13 @@ class SparseMultiPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, SparseMultiPoly):
-            self._check_same_variables(other)
-            merged = dict(self.terms)
-            for exps, c in other.terms.items():
-                merged[exps] = merged.get(exps, 0) + c
-            return SparseMultiPoly(self.variables, merged)
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self + SparseMultiPoly.constant(self.variables, other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SparseMultiPoly(self.variables,
-                               {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (SparseMultiPoly, int, Fraction, Cyclotomic)):
-            return self + (-other if isinstance(other, SparseMultiPoly)
-                           else SparseMultiPoly.constant(self.variables, other) * -1)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, SparseMultiPoly):
+            return NotImplemented
+        self._check_same_variables(other)
+        merged = dict(self.terms)
+        for exps, c in other.terms.items():
+            merged[exps] = merged.get(exps, 0) + c
+        return SparseMultiPoly(self.variables, merged)
 
     def __mul__(self, other):
         if isinstance(other, SparseMultiPoly):
@@ -134,12 +119,12 @@ class SparseMultiPoly:
                     prod = c1 * c2
                     if e in out:
                         prod = out[e] + prod
-                    if scalar_is_zero(prod):
+                    if not prod:
                         out.pop(e, None)
                     else:
                         out[e] = prod
             return SparseMultiPoly(self.variables, out)
-        if isinstance(other, (int, Fraction, Cyclotomic)):
+        if isinstance(other, (int, Fraction)):
             return SparseMultiPoly(self.variables,
                                    {e: c * other for e, c in self.terms.items()})
         return NotImplemented
@@ -193,19 +178,15 @@ class SparseMultiPoly:
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.variables, exps) if e)
-            if isinstance(coeff, Cyclotomic):
-                body = f"({coeff})" + (f"*{mono}" if mono else "")
-                sign = "+"
+            sign = "-" if coeff < 0 else "+"
+            c = abs(coeff)
+            cstr = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+            if not mono:
+                body = cstr
+            elif c == 1:
+                body = mono
             else:
-                sign = "-" if coeff < 0 else "+"
-                c = abs(coeff)
-                cstr = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                if not mono:
-                    body = cstr
-                elif c == 1:
-                    body = mono
-                else:
-                    body = f"{cstr}*{mono}"
+                body = f"{cstr}*{mono}"
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:

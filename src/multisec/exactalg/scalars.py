@@ -1,24 +1,21 @@
-"""Exact scalar arithmetic: rationals and cyclotomic numbers.
+"""Exact scalars: rationals, and the cyclotomic ring the norm multiplies in.
 
 Rationals are plain ``fractions.Fraction`` values.  Fraction already keeps
 the normal form the rest of the package relies on (gcd-reduced numerator
 over a positive denominator, unbounded integers), so no wrapper type is
 introduced.
 
-A cyclotomic number of conductor d is an element of Q[z]/(Phi_d(z)) where
-Phi_d is the d-th cyclotomic polynomial.  It is stored as the canonical
-reduced representative with a common denominator: a tuple of phi(d) =
-deg Phi_d integer numerators, constant term first, over one positive
-integer denominator, with the gcd of all of them equal to 1.  The form is
-unique, so equality is tuple equality.  A product is an integer
-convolution of the numerators folded back below degree phi(d) by a cached
-table of x^m mod Phi_d (0 <= m < d, since x^d = 1); Phi_d is monic, so the
-table is integral.  The Galois automorphism sigma_k (z -> z^k, k a unit
-mod d) is read off the same table; it maps Z[z] onto itself, so it keeps
-the normal form.  An inverse is the product of the conjugates sigma_k(a),
-k in (Z/d)^* other than 1, over the integer norm N(a) = a * prod
-sigma_k(a): integer arithmetic only.  Phi_d itself is
-computed by the recursive quotient
+`Cyclotomic` holds the conjugate factors of `construct.monomial_norm`, an
+element of Q[z]/(Phi_d(z)) with Phi_d the d-th cyclotomic polynomial.  It
+is stored as the canonical reduced representative with a common
+denominator: a tuple of phi(d) = deg Phi_d integer numerators, constant
+term first, over one positive integer denominator, with the gcd of all of
+them equal to 1.  It only adds, multiplies, raises to powers n >= 0 and
+casts a rational result back to Fraction; there is no inverse, division,
+subtraction or equality.  A product is an integer convolution of the
+numerators folded back below degree phi(d) by a cached table of
+x^m mod Phi_d (0 <= m < d, since x^d = 1); Phi_d is monic, so the table is
+integral.  Phi_d itself is computed by the recursive quotient
 
     Phi_d(x) = (x^d - 1) / prod(Phi_e(x) for e | d, e < d)
 
@@ -31,9 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Union
-
-RationalLike = Union[int, Fraction]
 
 
 def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -98,10 +92,10 @@ def _mul_numerators(d: int, a, b) -> list[int]:
 
 
 class Cyclotomic:
-    """Immutable element of the cyclotomic field of a fixed conductor.
+    """Immutable element of the cyclotomic ring of a fixed conductor.
 
-    Supports mixed arithmetic with int and Fraction; elements of different
-    conductors do not mix (the constructions here never need it).
+    Adds and multiplies with Cyclotomic, int and Fraction operands;
+    elements of different conductors do not mix (the norm never needs it).
     """
 
     __slots__ = ("conductor", "numerators", "denominator")
@@ -140,37 +134,19 @@ class Cyclotomic:
         object.__setattr__(obj, "denominator", den)
         return obj
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients over Q, constant term first."""
-        den = self.denominator
-        return tuple(Fraction(n, den) for n in self.numerators)
-
     @classmethod
     def zeta(cls, conductor: int) -> "Cyclotomic":
         """A primitive root of unity of the given conductor."""
         return cls(conductor, [0, 1])
-
-    @classmethod
-    def from_rational(cls, conductor: int, value: RationalLike) -> "Cyclotomic":
-        phi = len(cyclotomic_polynomial(conductor)) - 1
-        return cls._make(conductor, [value.numerator] + [0] * (phi - 1),
-                         value.denominator)
-
-    @classmethod
-    def one(cls, conductor: int) -> "Cyclotomic":
-        return cls.from_rational(conductor, 1)
-
-    @classmethod
-    def zero(cls, conductor: int) -> "Cyclotomic":
-        return cls.from_rational(conductor, 0)
 
     def is_rational(self) -> bool:
         return not any(self.numerators[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
+            raise ValueError(
+                f"cyclotomic number with numerators {self.numerators} over "
+                f"{self.denominator} (conductor {self.conductor}) is not rational")
         return Fraction(self.numerators[0], self.denominator)
 
     def _check_conductor(self, other: "Cyclotomic") -> None:
@@ -178,41 +154,23 @@ class Cyclotomic:
             raise ValueError(
                 f"conductor mismatch: {self.conductor} vs {other.conductor}")
 
-    def _plus(self, other, sign: int):
-        # self + sign * other
+    def __add__(self, other):
         a, da = self.numerators, self.denominator
         if isinstance(other, Cyclotomic):
             self._check_conductor(other)
             b, db = other.numerators, other.denominator
             if da == db:
-                return Cyclotomic._make(self.conductor,
-                                        [x + sign * y for x, y in zip(a, b)], da)
+                return Cyclotomic._make(self.conductor, [x + y for x, y in zip(a, b)], da)
             return Cyclotomic._make(self.conductor,
-                                    [x * db + sign * y * da for x, y in zip(a, b)],
-                                    da * db)
+                                    [x * db + y * da for x, y in zip(a, b)], da * db)
         if isinstance(other, (int, Fraction)):
             on, od = other.numerator, other.denominator
             num = [x * od for x in a]
-            num[0] += sign * on * da
+            num[0] += on * da
             return Cyclotomic._make(self.conductor, num, da * od)
         return NotImplemented
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return (-self)._plus(other, 1)
-
-    def __neg__(self):
-        return Cyclotomic._make(self.conductor,
-                                [-c for c in self.numerators], self.denominator)
 
     def __mul__(self, other):
         a, da = self.numerators, self.denominator
@@ -228,50 +186,12 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def galois(self, k: int) -> "Cyclotomic":
-        """The conjugate sigma_k(self) under z -> z^k, for k a unit mod d."""
-        d, a = self.conductor, self.numerators
-        if gcd(k, d) != 1:
-            raise ValueError(f"{k} is not a unit mod {d}")
-        conj, powers = [0] * len(a), _power_rows(d)
-        for i, c in enumerate(a):
-            for m, r in enumerate(powers[i * k % d]):
-                conj[m] += c * r
-        return Cyclotomic._make(d, conj, self.denominator)
-
-    def inverse(self) -> "Cyclotomic":
-        """The norm form: the product of the other conjugates over N(self)."""
-        if not self:
-            raise ZeroDivisionError("cyclotomic division by zero")
-        d, a = self.conductor, self.numerators
-        others = [1] + [0] * (len(a) - 1)
-        for k in range(2, d):
-            if gcd(k, d) == 1:
-                others = _mul_numerators(d, others, self.galois(k).numerators)
-        # a * others is the integer norm N of the numerator vector, so the
-        # inverse is den * others / N, with N's sign moved up to keep den > 0
-        norm = _mul_numerators(d, a, others)[0]
-        den = self.denominator if norm > 0 else -self.denominator
-        return Cyclotomic._make(d, [den * q for q in others], abs(norm))
-
-    def __truediv__(self, other):
-        if isinstance(other, Cyclotomic):
-            return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return self.inverse() * other
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
-        result = Cyclotomic.one(self.conductor)
+            raise ValueError(f"negative power {n}: Cyclotomic has no inverse")
+        result = Cyclotomic(self.conductor, [1])
         base = self
         while n:
             if n & 1:
@@ -283,51 +203,6 @@ class Cyclotomic:
 
     def __bool__(self) -> bool:
         return any(self.numerators)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return (self.is_rational() and self.numerators[0] == other.numerator
-                    and self.denominator == other.denominator)
-        if isinstance(other, Cyclotomic):
-            if other.conductor == self.conductor:
-                return (self.numerators == other.numerators
-                        and self.denominator == other.denominator)
-            return (self.is_rational() and other.is_rational()
-                    and self.numerators[0] == other.numerators[0]
-                    and self.denominator == other.denominator)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if self.is_rational():
-            return hash(self.to_fraction())
-        return hash((self.conductor, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Cyclotomic({self.conductor}, {list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            z = "" if i == 0 else (f"z{self.conductor}" if i == 1
-                                   else f"z{self.conductor}^{i}")
-            if i == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(z)
-            elif c == -1:
-                parts.append(f"-{z}")
-            else:
-                parts.append(f"{c}*{z}")
-        return " + ".join(parts) if parts else "0"
-
-
-Scalar = Union[Fraction, Cyclotomic]
-
-
-def scalar_is_zero(x) -> bool:
-    return not x if isinstance(x, Cyclotomic) else x == 0
 
 
 def as_fraction(x) -> Fraction:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multisec import construct
 from multisec.construct import (
@@ -35,6 +35,7 @@ from multisec.construct import (
 )
 from multisec.exactalg import SparseMultiPoly, parse_poly
 
+from test_cyclotomic_oracle import RefCyclotomic
 from test_matrix import gauss_jordan
 from test_pencil_oracle import (
     DEGENERATE_MAPS,
@@ -177,7 +178,7 @@ def test_paired_quadric_check_sees_a_negated_minus_entry():
     # negating X-0 keeps j equivariant but flips the sign of the paired
     # coefficients X-0*X-1 and X-0*X-2 against the table's
     j = corrected_j()
-    negated = ProjectiveCurveMap(SOURCE_VARS, j.entries[:3] + (-j.entries[3],) + j.entries[4:],
+    negated = ProjectiveCurveMap(SOURCE_VARS, j.entries[:3] + (j.entries[3] * -1,) + j.entries[4:],
                                  j.target_labels)
     assert check_weighted_equivariance(negated, standard_weight_action()).ok
     table = quadratic_pullback_table(corrected_jprime())
@@ -253,6 +254,59 @@ def test_norm_multiplicative_and_degree_preserving():
         assert npq == np_ * nq
         assert np_.total_degree() == p.total_degree()
         assert nq.total_degree() == q.total_degree()
+
+
+def conjugate_product(p, d):
+    """The terms of the norm as the product of p(zeta^k T0, T1) over k < d.
+
+    Multiplies over Q(zeta_d) by `RefCyclotomic`, as coefficient lists
+    indexed by the exponent of T0; every coefficient of the product must be
+    rational and sit at an exponent divisible by d, and T^d becomes U.
+    """
+    if p.is_zero():
+        return {}
+    degree = p.total_degree()
+    zero = RefCyclotomic(d, [])
+    product = [RefCyclotomic(d, [1])]
+    for k in range(d):
+        out = [zero] * (len(product) + degree)
+        for i, x in enumerate(product):
+            if x:
+                for (a, _), c in p.terms.items():
+                    # c zeta^(ka), folded below phi(d) by the reference
+                    out[i + a] = out[i + a] + x * RefCyclotomic(d, [0] * (k * a % d) + [c])
+        product = out
+    terms = {}
+    for a, c in enumerate(product):
+        if c:
+            assert c.is_rational() and a % d == 0
+            terms[(a // d, degree - a // d)] = c.coeffs[0]
+    return terms
+
+
+heights = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)))
+
+
+@st.composite
+def binary_forms(draw):
+    degree = draw(st.integers(0, 8))
+    coeffs = draw(st.lists(heights, min_size=degree + 1, max_size=degree + 1))
+    return SparseMultiPoly(CURVE_VARS, {(a, degree - a): c for a, c in enumerate(coeffs)})
+
+
+@settings(deadline=None)
+@given(binary_forms(), st.integers(1, 8))
+@example(SparseMultiPoly.zero(CURVE_VARS), 3)
+def test_norm_is_the_product_of_conjugates(p, d):
+    norm = monomial_norm(p, d)
+    assert norm.variables == construct.BASE_VARS
+    assert norm.terms == conjugate_product(p, d)
+    if not p.is_zero():
+        lifted = p + SparseMultiPoly(CURVE_VARS, {(p.total_degree() + 1, 0): 1})
+        with pytest.raises(ValueError, match="homogeneous"):
+            monomial_norm(lifted, d)
 
 
 # -- dual points and the derived map -------------------------------------------

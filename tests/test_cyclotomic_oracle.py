@@ -1,19 +1,22 @@
 """The integer-vector Cyclotomic against the tuple-of-Fraction reference.
 
-`RefCyclotomic` is the earlier representation, kept here only as the
-oracle: a coefficient tuple over Fraction, reduced modulo Phi_d by long
-division, inverted by an extended gcd over Fraction and conjugated by
-substituting x^k.  Every operation of `Cyclotomic` must give the element
-the reference gives, with the same coefficients, printed forms and hash.
+`RefCyclotomic` is the earlier representation: a coefficient tuple over
+Fraction, reduced modulo Phi_d by long division and inverted by an
+extended gcd over Fraction.  It is the field Q(zeta_d) of the test oracles
+(`gauss_jordan` over Q(zeta_6), the pencil oracle's fibers and
+evaluations, and the norm oracle), which import it from here.  Every
+operation left on `Cyclotomic` (the normal form, +, *, ** with n >= 0,
+zeta, to_fraction and the conductor check) must give the element the
+reference gives: the same coefficients as numerators over the denominator.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from multisec.exactalg import Cyclotomic, cyclotomic_polynomial
+from multisec.exactalg import Cyclotomic, as_fraction, cyclotomic_polynomial
 
 
 def _trim(p):
@@ -48,35 +51,45 @@ def _poly_divmod(a, b):
 class RefCyclotomic:
     def __init__(self, conductor, coeffs):
         phi = len(cyclotomic_polynomial(conductor)) - 1
-        vec = [Fraction(c) for c in coeffs]
+        vec = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if len(vec) > phi:
             mod = [Fraction(c) for c in cyclotomic_polynomial(conductor)]
             _, vec = _poly_divmod(vec, mod)
         self.conductor = conductor
         self.coeffs = tuple(vec + [Fraction(0)] * (phi - len(vec)))
 
-    def _lift(self, other):
-        if isinstance(other, RefCyclotomic):
-            return other
-        return RefCyclotomic(self.conductor, [other])
-
     def __add__(self, other):
-        o = self._lift(other)
-        return RefCyclotomic(self.conductor,
-                             [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        if isinstance(other, RefCyclotomic):
+            return RefCyclotomic(self.conductor,
+                                 [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return RefCyclotomic(self.conductor, (self.coeffs[0] + other,) + self.coeffs[1:])
+
+    __radd__ = __add__
 
     def __neg__(self):
         return RefCyclotomic(self.conductor, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        return RefCyclotomic(self.conductor,
-                             _poly_mul(list(self.coeffs), list(o.coeffs)))
+        if isinstance(other, RefCyclotomic):
+            if self.is_rational():
+                return other * self.coeffs[0]
+            if not other.is_rational():
+                return RefCyclotomic(self.conductor,
+                                     _poly_mul(list(self.coeffs), list(other.coeffs)))
+            other = other.coeffs[0]
+        return RefCyclotomic(self.conductor, [c * other for c in self.coeffs])
+
+    __rmul__ = __mul__
 
     def inverse(self):
+        if not self:
+            raise ZeroDivisionError("cyclotomic division by zero")
         mod = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
         r0, r1 = _trim(list(self.coeffs)), mod
         u0, u1 = [Fraction(1)], []
@@ -90,67 +103,40 @@ class RefCyclotomic:
             u0, u1 = u1, _trim(nu)
         return RefCyclotomic(self.conductor, [c / r0[0] for c in u0])
 
-    def galois(self, k):
-        # sum c_i x^(ik), reduced by x^d = 1 and then by long division
-        spread = [Fraction(0)] * self.conductor
-        for i, c in enumerate(self.coeffs):
-            spread[i * k % self.conductor] += c
-        return RefCyclotomic(self.conductor, spread)
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
         result = RefCyclotomic(self.conductor, [1])
         for _ in range(n):
             result = result * self
         return result
 
-    def is_zero(self):
-        return not any(self.coeffs)
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.coeffs[0] == other
+        if isinstance(other, RefCyclotomic):
+            return (self.conductor, self.coeffs) == (other.conductor, other.coeffs)
+        return NotImplemented
 
     def is_rational(self):
         return not any(self.coeffs[1:])
-
-    def __repr__(self):
-        return f"Cyclotomic({self.conductor}, {list(self.coeffs)!r})"
-
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            z = "" if i == 0 else (f"z{self.conductor}" if i == 1
-                                   else f"z{self.conductor}^{i}")
-            if i == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(z)
-            elif c == -1:
-                parts.append(f"-{z}")
-            else:
-                parts.append(f"{c}*{z}")
-        return " + ".join(parts) if parts else "0"
-
-    def hash_value(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
 
 
 def assert_same(x, ref):
     assert isinstance(x, Cyclotomic)
     assert x.conductor == ref.conductor
-    assert x.coeffs == ref.coeffs
-    assert hash(x) == ref.hash_value()
     assert x.denominator > 0
     assert gcd(x.denominator, *x.numerators) == 1
-    assert str(x) == str(ref)
-    assert repr(x) == repr(ref)
-    assert x == Cyclotomic(ref.conductor, ref.coeffs)
+    assert tuple(Fraction(n, x.denominator) for n in x.numerators) == ref.coeffs
 
 
-# conductors up to 12 run extended gcds of degree up to 10 over Fraction,
-# which a loaded machine can stretch past the default per-example deadline
+# conductors up to 12 reduce products of degree up to 46 by long division
+# over Fraction, which a loaded machine can stretch past the default
+# per-example deadline
 slow = settings(deadline=None)
 small = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 rationals = st.one_of(st.integers(-6, 6), small)
@@ -170,20 +156,11 @@ def test_ring_operations_match_reference(case):
     d, (u, v) = case
     x, y = Cyclotomic(d, u), Cyclotomic(d, v)
     rx, ry = RefCyclotomic(d, u), RefCyclotomic(d, v)
+    assert_same(Cyclotomic.zeta(d), RefCyclotomic(d, [0, 1]))
     assert_same(x, rx)
     assert_same(x + y, rx + ry)
-    assert_same(x - y, rx - ry)
-    assert_same(-x, -rx)
     assert_same(x * y, rx * ry)
-    assert (x == y) == (rx.coeffs == ry.coeffs)
-    if not ry.is_zero():
-        assert_same(y.inverse(), ry.inverse())
-        assert_same(x / y, rx * ry.inverse())
-    else:
-        with pytest.raises(ZeroDivisionError):
-            y.inverse()
-        with pytest.raises(ZeroDivisionError):
-            x / y
+    assert bool(x) == bool(rx)
 
 
 @slow
@@ -191,8 +168,11 @@ def test_ring_operations_match_reference(case):
 def test_powers_match_reference(case, n):
     d, (u,) = case
     x, rx = Cyclotomic(d, u), RefCyclotomic(d, u)
-    assume(n >= 0 or not rx.is_zero())
-    assert_same(x ** n, rx ** n)
+    if n < 0:
+        with pytest.raises(ValueError, match="negative power"):
+            x ** n
+    else:
+        assert_same(x ** n, rx ** n)
 
 
 @slow
@@ -202,74 +182,27 @@ def test_mixed_rational_operands_match_reference(case, q):
     x, rx = Cyclotomic(d, u), RefCyclotomic(d, u)
     assert_same(x + q, rx + q)
     assert_same(q + x, rx + q)
-    assert_same(x - q, rx - q)
-    assert_same(q - x, -(rx - q))
     assert_same(x * q, rx * q)
     assert_same(q * x, rx * q)
-    assert (x == q) == (rx.coeffs == RefCyclotomic(d, [q]).coeffs)
-    if q != 0:
-        assert_same(x / q, rx * RefCyclotomic(d, [Fraction(1) / Fraction(q)]))
-    if not rx.is_zero():
-        assert_same(q / x, rx.inverse() * q)
 
 
 @given(st.integers(1, 12), st.integers(1, 12), rationals)
 def test_rational_elements_equal_their_fraction(d, e, q):
-    x = Cyclotomic.from_rational(d, q)
-    assert x == q and x == Fraction(q)
-    assert hash(x) == hash(Fraction(q))
-    assert x == Cyclotomic.from_rational(e, q)
-    assert x.to_fraction() == q
+    x = Cyclotomic(d, [q])
+    assert x.is_rational()
+    assert x.to_fraction() == q and as_fraction(x) == q
+    assert Cyclotomic(e, [q]).to_fraction() == x.to_fraction()
+    # z^d = 1 folds a rational multiple of z^d down to the rational itself
+    assert (Cyclotomic.zeta(d) ** d * q).to_fraction() == q
+    if d > 2:  # phi(d) > 1, so zeta is irrational
+        with pytest.raises(ValueError, match="not rational"):
+            (Cyclotomic.zeta(d) + q).to_fraction()
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_degree_one_conductors(d):
     z = Cyclotomic.zeta(d)
-    assert z == (1 if d == 1 else -1)
-    assert z * z == 1
+    assert z.to_fraction() == (1 if d == 1 else -1)
+    assert (z * z).to_fraction() == 1
     assert_same(z * Cyclotomic(d, [Fraction(2, 3)]),
                 RefCyclotomic(d, [0, 1]) * RefCyclotomic(d, [Fraction(2, 3)]))
-
-
-# heights far past what the derivation produces: numerators and
-# denominators up to 10^30, so products of conjugates reach hundreds of digits
-tall = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
-
-
-@slow
-@given(st.integers(1, 12), st.data())
-def test_large_height_inverse_is_exact(d, data):
-    phi = len(cyclotomic_polynomial(d)) - 1
-    x = Cyclotomic(d, data.draw(st.lists(tall, min_size=1, max_size=phi)))
-    assume(x)
-    assert x * x.inverse() == 1
-    assert x.inverse().inverse() == x
-
-
-@given(st.sampled_from([1, 2]),
-       st.builds(Fraction, st.integers(-10 ** 30, -1), st.integers(1, 10 ** 30)))
-def test_negative_rational_inverse_has_positive_denominator(d, q):
-    inverse = Cyclotomic.from_rational(d, q).inverse()
-    assert inverse.denominator > 0
-    assert gcd(inverse.denominator, *inverse.numerators) == 1
-    assert inverse == 1 / q
-
-
-@slow
-@given(pairs(), st.data())
-def test_galois_is_the_reference_automorphism(case, data):
-    d, (u, v) = case
-    k = data.draw(st.integers(-2 * d, 2 * d).filter(lambda k: gcd(k, d) == 1))
-    x, y = Cyclotomic(d, u), Cyclotomic(d, v)
-    assert_same(x.galois(k), RefCyclotomic(d, u).galois(k))
-    assert x.galois(1) == x
-    assert (x + y).galois(k) == x.galois(k) + y.galois(k)
-    assert (x * y).galois(k) == x.galois(k) * y.galois(k)
-
-
-def test_galois_conjugation_at_conductor_six():
-    zeta = Cyclotomic.zeta(6)
-    assert zeta.galois(-1) == zeta.galois(5) == zeta ** 5 == 1 - zeta
-    assert (zeta + zeta.galois(-1)) == 1
-    with pytest.raises(ValueError):
-        zeta.galois(3)

