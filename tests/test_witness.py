@@ -1,6 +1,7 @@
-from math import comb
+from math import comb, isqrt
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multisec.semigroup import NumericalSemigroup
 from multisec.witness import (
@@ -75,6 +76,31 @@ def test_choose_is_minimal_by_exhaustion():
                            for b in range(b_prime, bound // a + 1)
                            if 4 * a * b > e + 1)
                 assert (report.a * report.b, report.a, report.b) == best
+
+
+def full_scan(a_prime, b_prime, e):
+    """The cheapest (a, b) by the O(sqrt(e)) scan alone, with no early return."""
+    m = (e + 1) // 4 + 1
+    best = (a_prime * max(b_prime, -(-m // a_prime)), a_prime)
+    for f in range(min(a_prime, b_prime), isqrt(m - 1) + 2):
+        partner = -(-m // f)
+        if f >= a_prime:
+            best = min(best, (f * max(b_prime, partner), f))
+        if f >= b_prime:
+            a = max(a_prime, partner)
+            best = min(best, (a * f, a))
+    product, a = best
+    return a, product // a
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 10 ** 6))
+@example(1, 1, 10 ** 9)  # the product m reaches max(m, a'b'): the starting pair
+@example(2, 1, 10 ** 9)  # m odd: (2, (m + 1) / 2) is one above the bound, so a scan
+@example(10 ** 12, 10 ** 12, 10 ** 12)
+def test_choose_matches_the_full_scan(a_prime, b_prime, e):
+    report = choose_ab_and_certify(a_prime, b_prime, e)
+    assert (report.a, report.b) == full_scan(a_prime, b_prime, e)
 
 
 def test_certificate_implication_sample():
