@@ -510,6 +510,17 @@ def paired_quadric_check(j: ProjectiveCurveMap, table: PullbackTable) -> dict:
     the factor 2 of an off-diagonal monomial.  The quadrics stay on the
     integer view of j (`_paired_quadrics`), so each image's coefficients
     are scaled by their denominator instead.
+
+    `coefficient_degree_5` cannot be False for a map that gets here.
+    Split each entry f into f_e + f_o, its terms of even and of odd
+    S1-degree.  The involution sends f to f_e - f_o, so a pair's
+    coefficient is 2(f_e g_e - f_o g_o) and a diagonal one f_e^2 - f_o^2.
+    `_paired_quadrics` has already raised unless every cross-block
+    coefficient vanishes, and then [f_e : f_o] is one point rho for every
+    entry on X+ and the swapped point for every entry on X-.  A vanishing
+    within-block coefficient forces rho = [1 : +-1], that is f_e = +-f_o;
+    as f_e and f_o share no monomial, only a zero entry satisfies that,
+    and `_require_quintic` admits none.
     """
     denominator, quadrics = _paired_quadrics(j)
 

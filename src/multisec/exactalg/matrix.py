@@ -1,35 +1,29 @@
-"""Exact rank of a rational matrix, by fraction-free elimination over Z.
+"""Exact rank of an integer matrix, by fraction-free elimination.
 
-Each row is scaled by the lcm of its denominators, which keeps the rank,
-and Bareiss elimination (Math. Comp. 1968) then runs on integers: each
-update divides by the previous pivot with `//`, and that division is exact
-because every intermediate entry is a minor of the scaled matrix.  No
-`Fraction` is built past the scaling.
+Bareiss elimination (Math. Comp. 1968) runs on the integers: each update
+divides by the previous pivot with `//`, and that division is exact
+because every intermediate entry is a minor of the matrix.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Sequence
 
-from .scalars import as_fraction
 
+def exact_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of a matrix of ints; exact and deterministic.
 
-def exact_matrix_rank(rows: Sequence[Sequence[object]]) -> int:
-    """Rank over Q of a matrix of rationals; exact and deterministic.
-
-    Raises ValueError on an empty or ragged matrix and on an entry outside Q.
+    Raises ValueError on an empty or ragged matrix and on an entry that is
+    not an int.
     """
-    matrix = []
-    for row in rows:
-        row = [as_fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        matrix.append([x.numerator * (scale // x.denominator) for x in row])
+    matrix = [list(row) for row in rows]
     if not matrix or not matrix[0]:
         raise ValueError("matrix must have at least one row and column")
     nr, nc = len(matrix), len(matrix[0])
     if any(len(r) != nc for r in matrix):
         raise ValueError("ragged rows")
+    if not all(isinstance(x, int) for row in matrix for x in row):
+        raise ValueError("matrix entries must be ints")
     rank, prev = 0, 1
     for c in range(nc):
         pivot = next((i for i in range(rank, nr) if matrix[i][c]), None)

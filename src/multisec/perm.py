@@ -3,9 +3,7 @@
 A group on {0, ..., k-1} is a tuple of generator rows: row g lists the
 images g(0), ..., g(k-1).  Nothing here composes group elements, since an
 orbit is the breadth-first closure of a point under the rows (Seress 2003,
-section 4.1, on permutation group algorithms).  Full enumeration is a capped
-breadth-first closure over image tuples, since every group used here is
-tiny but the API must fail loudly rather than hang.  Actions on
+section 4.1, on permutation group algorithms).  Actions on
 combinatorial families (subsets of a fiber as bitmasks, star-patterns on
 three blocks) store, per generator, the induced row on their points.
 """
@@ -17,29 +15,8 @@ from itertools import product
 from typing import Sequence
 
 
-class CapExceeded(RuntimeError):
-    """Group closure grew past the requested cap."""
-
-
 class BadIndex(ValueError):
     """Parameter outside the supported range."""
-
-
-def enumerate_group(rows: Sequence[Sequence[int]],
-                    cap: int = 10 ** 6) -> tuple[tuple[int, ...], ...]:
-    """Every element as its image tuple: breadth-first, identity first."""
-    identity = tuple(range(len(rows[0])))
-    seen = {identity}
-    order = [identity]
-    for x in order:  # grows as walked, one level after another
-        for g in rows:
-            y = tuple(x[i] for i in g)  # x after g
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                if len(order) > cap:
-                    raise CapExceeded(f"group closure exceeded cap {cap}")
-    return tuple(order)
 
 
 def wreath_product_3_2() -> tuple[tuple[int, ...], ...]:
@@ -71,26 +48,9 @@ class GroupAction:
         self.points = points
         self.rows = rows
 
-    def __len__(self) -> int:
-        return len(self.points)
 
-
-class OrbitDecomposition:
-    """Disjoint orbits of a GroupAction, by point index."""
-
-    def __init__(self, orbits: Sequence[Sequence[int]]):
-        self.orbits = tuple(tuple(o) for o in orbits)
-
-    @property
-    def transitive(self) -> bool:
-        return len(self.orbits) == 1
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(o) for o in self.orbits)
-
-
-def orbit_decomposition(action: GroupAction) -> OrbitDecomposition:
-    """Breadth-first closures under the generator rows, by least point, sorted."""
+def orbit_decomposition(action: GroupAction) -> tuple[tuple[int, ...], ...]:
+    """Breadth-first closures under the rows, as sorted index tuples, by least point."""
     rows = action.rows
     seen = bytearray(len(action.points))
     orbits = []
@@ -104,8 +64,8 @@ def orbit_decomposition(action: GroupAction) -> OrbitDecomposition:
                     if not seen[y]:
                         seen[y] = 1
                         orbit.append(y)
-            orbits.append(sorted(orbit))
-    return OrbitDecomposition(orbits)
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def induced_subset_action(d: int, i: int) -> GroupAction:

@@ -56,7 +56,7 @@ class NumericalSemigroup:
         object.__setattr__(self, "generators", tuple(int(g) for g in self.generators))
 
     def gcd(self) -> int:
-        return gcd(*self.generators) if len(self.generators) > 1 else self.generators[0]
+        return gcd(*self.generators)
 
     def min_positive(self) -> int:
         return min(self.generators)
@@ -85,7 +85,3 @@ def sdn_generators(d: int, n: int) -> NumericalSemigroup:
     if d < 1 or n < 1:
         raise ValueError(f"d and n must be >= 1, got d={d}, n={n}")
     return NumericalSemigroup(tuple(comb(d, i) for i in range(1, min(d, n) + 1)))
-
-
-def semigroup_min_and_gcd(s: NumericalSemigroup) -> tuple[int, int]:
-    return s.min_positive(), s.gcd()

@@ -9,7 +9,6 @@ which automatically certifies e < 4ab - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 
@@ -17,49 +16,10 @@ class BadInput(ValueError):
     """Nonpositive parameter."""
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    a: int
-    b: int
-    n: int
-    d: int
-    span_bound: int
-    basepoint_ok: bool
-    e: int | None = None
-    no_section_ok: bool | None = None
-
-    def __post_init__(self):
-        if self.n != 4 * self.a * self.b or self.d != self.n - 1:
-            raise ValueError("inconsistent witness parameters")
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "a": self.a,
-            "b": self.b,
-            "n": self.n,
-            "d": self.d,
-            "min_degree_claim": self.d,
-            "span_bound": self.span_bound,
-            "basepoint_ok": self.basepoint_ok,
-        }
-        if self.e is not None:
-            out["e"] = self.e
-            out["no_section_ok"] = self.no_section_ok
-        return out
-
-
 def _require_positive(**kwargs: int) -> None:
     for name, value in kwargs.items():
         if value < 1:
             raise BadInput(f"{name} must be >= 1, got {value}")
-
-
-def witness_parameters(a: int, b: int) -> WitnessReport:
-    """n = 4ab and d = n - 1, with the claimed minimal degree d = 4ab - 1."""
-    _require_positive(a=a, b=b)
-    span, ok = span_and_basepoint(a, b)
-    return WitnessReport(a=a, b=b, n=4 * a * b, d=4 * a * b - 1,
-                         span_bound=span, basepoint_ok=ok)
 
 
 def span_and_basepoint(a: int, b: int) -> tuple[int, bool]:
@@ -74,7 +34,7 @@ def span_and_basepoint(a: int, b: int) -> tuple[int, bool]:
     return span_bound, span_bound + 1 <= n
 
 
-def choose_ab_and_certify(a_prime: int, b_prime: int, e: int) -> WitnessReport:
+def choose_ab_and_certify(a_prime: int, b_prime: int, e: int) -> tuple[int, int]:
     """Cheapest (a, b) with a >= a', b >= b', 4ab > e + 1; ties go to smaller a.
 
     4ab > e + 1 means ab >= m = (e + 1) // 4 + 1, so every admissible pair
@@ -97,20 +57,25 @@ def choose_ab_and_certify(a_prime: int, b_prime: int, e: int) -> WitnessReport:
                 a = max(a_prime, partner)
                 best = min(best, (a * f, a))
     product, a = best
-    b = product // a
-    report = witness_parameters(a, b)
-    return WitnessReport(a=a, b=b, n=report.n, d=report.d,
-                         span_bound=report.span_bound,
-                         basepoint_ok=report.basepoint_ok,
-                         e=e, no_section_ok=e < 4 * a * b - 1)
+    return a, product // a
 
 
 def check_witness(a: int, b: int, e: int | None = None) -> tuple[dict, bool]:
     """The witness report and whether it certifies the family.
 
     Without e the report is for block sizes (a, b); with e it is for the
-    cheapest pair at least (a, b) against a degree-e curve.  It certifies
-    when the basepoint exists and, given e, e < 4ab - 1.
+    cheapest pair at least (a, b) against a degree-e curve.  The family
+    has n = 4ab and claims minimal degree d = n - 1.  It certifies when
+    the basepoint exists and, given e, e < 4ab - 1.
     """
-    report = witness_parameters(a, b) if e is None else choose_ab_and_certify(a, b, e)
-    return report.to_json_dict(), report.basepoint_ok and report.no_section_ok is not False
+    if e is not None:
+        a, b = choose_ab_and_certify(a, b, e)
+    span_bound, basepoint_ok = span_and_basepoint(a, b)
+    n = 4 * a * b
+    results = {"a": a, "b": b, "n": n, "d": n - 1, "min_degree_claim": n - 1,
+               "span_bound": span_bound, "basepoint_ok": basepoint_ok}
+    if e is None:
+        return results, basepoint_ok
+    results["e"] = e
+    results["no_section_ok"] = e < n - 1
+    return results, basepoint_ok and results["no_section_ok"]

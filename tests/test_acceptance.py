@@ -15,8 +15,9 @@ from math import comb
 
 from multisec import construct, perm, semigroup, strata
 from multisec.exactalg import SparseMultiPoly
-from multisec.witness import choose_ab_and_certify, span_and_basepoint
+from multisec.witness import check_witness, span_and_basepoint
 
+from test_perm import enumerate_group
 from test_semigroup import naive_members
 
 
@@ -30,22 +31,21 @@ def _criterion(num: int, description: str, ok: bool, elapsed: float, bound: floa
 
 def test_criterion_01_wreath_engine():
     start = time.perf_counter()
-    ok = len(perm.enumerate_group(perm.wreath_product_3_2())) == 48
+    ok = len(enumerate_group(perm.wreath_product_3_2())) == 48
     for wildcards, size in ((0, 8), (1, 12), (2, 6)):
-        dec = perm.orbit_decomposition(perm.cube_strata_action(wildcards))
-        ok = ok and dec.transitive and dec.sizes() == (size,)
+        orbits = perm.orbit_decomposition(perm.cube_strata_action(wildcards))
+        ok = ok and len(orbits) == 1 and len(orbits[0]) == size
     _criterion(1, "wreath order 48; cube strata transitive of sizes 8/12/6",
                ok, time.perf_counter() - start, 1.0)
 
 
 def test_criterion_02_enriques_report():
     start = time.perf_counter()
-    model = strata.enriques_pencil_model()
-    report = strata.index_and_degree_report(model)
-    ok = (model.divisors() == (4, 6, 3)
-          and sorted(model.realized()) == [3, 4]
-          and report.exact_min == 3
-          and report.exact_index == 1)
+    results = strata.check_enriques_pencil()[0]
+    ok = (results["divisors"] == [4, 6, 3]
+          and sorted(results["realized"]) == [3, 4]
+          and results["min_degree"].get("exact") == 3
+          and results["index"].get("exact") == 1)
     _criterion(2, "divisors {4,6,3}, realized {3,4}, exact_min=3, exact_index=1",
                ok, time.perf_counter() - start, 1.0)
 
@@ -56,8 +56,8 @@ def test_criterion_03_orbits_match_binomials():
     for d in range(2, 9):
         for n in range(1, 9):
             for i in range(1, min(d, n) + 1):
-                dec = perm.orbit_decomposition(perm.induced_subset_action(d, i))
-                ok = ok and dec.transitive and dec.sizes() == (comb(d, i),)
+                orbits = perm.orbit_decomposition(perm.induced_subset_action(d, i))
+                ok = ok and len(orbits) == 1 and len(orbits[0]) == comb(d, i)
     _criterion(3, "subset-orbit sizes equal C(d,i) for 2<=d<=8, n<=8",
                ok, time.perf_counter() - start, 10.0)
 
@@ -73,8 +73,8 @@ def test_criterion_04_semigroup_oracle():
                 ok = ok and (s.contains(x) == (x in members))
     for (d, n), (want_min, want_gcd) in {(5, 2): (5, 5), (4, 2): (4, 2),
                                          (7, 3): (7, 7)}.items():
-        got = semigroup.semigroup_min_and_gcd(semigroup.sdn_generators(d, n))
-        ok = ok and got == (want_min, want_gcd)
+        s = semigroup.sdn_generators(d, n)
+        ok = ok and (s.min_positive(), s.gcd()) == (want_min, want_gcd)
     _criterion(4, "membership agrees with naive enumeration to 200; min/gcd exact",
                ok, time.perf_counter() - start, 5.0)
 
@@ -164,10 +164,10 @@ def test_criterion_10_witness_arithmetic():
     for a_prime in range(1, 4):
         for b_prime in range(1, 4):
             for e in range(1, 101):
-                report = choose_ab_and_certify(a_prime, b_prime, e)
-                ok = ok and 4 * report.a * report.b > e + 1
-                ok = ok and e < 4 * report.a * report.b - 1
-                ok = ok and report.no_section_ok
+                report = check_witness(a_prime, b_prime, e)[0]
+                ok = ok and 4 * report["a"] * report["b"] > e + 1
+                ok = ok and e < 4 * report["a"] * report["b"] - 1
+                ok = ok and report["no_section_ok"]
     for a in range(1, 21):
         for b in range(1, 21):
             ok = ok and span_and_basepoint(a, b)[1]

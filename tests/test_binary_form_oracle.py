@@ -14,6 +14,7 @@ factors.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -159,8 +160,11 @@ def ref_quadratic_pullback_table(jprime):
                 pair = (jprime.target_labels[a], jprime.target_labels[b])
                 quintic = _descend(pair, jprime.entries[a] * jprime.entries[b])
                 rows.append((pair, quintic))
-                matrix_rows.append([as_fraction(quintic.terms.get(exps, Fraction(0)))
-                                    for exps in QUINTIC_BASIS])
+                row = [as_fraction(quintic.terms.get(exps, Fraction(0)))
+                       for exps in QUINTIC_BASIS]
+                # times the lcm of its denominators: the same rank, over Z
+                scale = lcm(*(x.denominator for x in row))
+                matrix_rows.append([int(x * scale) for x in row])
     return PullbackTable(tuple(rows), exact_matrix_rank(matrix_rows))
 
 

@@ -211,9 +211,9 @@ def test_hypersurface_at_the_d_cap_stays_small(capsys):
 @pytest.mark.parametrize("subcommand", [["hypersurface"], ["semigroup", "--query", "3"]])
 def test_d_above_cap_exits_2_and_names_flag(subcommand, monkeypatch, capsys):
     assert cli.MAX_D >= 14  # the largest d the benchmark runs
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("enumeration started past the cap")
-    monkeypatch.setattr(cli.strata, "hypersurface_pencil_model", refuse)
+    monkeypatch.setattr(cli.strata, "check_hypersurface_pencil", refuse)
     monkeypatch.setattr(cli.semigroup, "sdn_generators", refuse)
     argv = subcommand + ["--d", str(cli.MAX_D + 1), "--n", "1"]
     assert cli.main(argv) == 2
@@ -249,9 +249,9 @@ def test_e_above_cap_exits_2_at_once(monkeypatch, capsys):
 ])
 def test_witness_block_size_above_cap_exits_2_and_names_flag(flag, value, monkeypatch,
                                                              capsys):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("witness arithmetic started past the cap")
-    monkeypatch.setattr(cli.witness, "witness_parameters", refuse)
+    monkeypatch.setattr(cli.witness, "check_witness", refuse)
     monkeypatch.setattr(cli.witness, "choose_ab_and_certify", refuse)
     sizes = {"--a": "1", "--b": "1", flag: value}
     for extra in ([], ["--e", "4"]):

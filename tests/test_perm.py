@@ -8,7 +8,32 @@ from multisec import perm
 
 
 # Oracles kept from the code the rows replaced: the tuple-based subset
-# action, the union-find orbits and the per-slot wreath rule on patterns.
+# action, the union-find orbits and the per-slot wreath rule on patterns,
+# and the group-order oracle.
+
+class CapExceeded(RuntimeError):
+    """Group closure grew past the requested cap."""
+
+
+def enumerate_group(rows, cap=10 ** 6):
+    """Every element as its image tuple: breadth-first, identity first.
+
+    The closure is capped, so a group too large to list fails loudly
+    rather than hangs.
+    """
+    identity = tuple(range(len(rows[0])))
+    seen = {identity}
+    order = [identity]
+    for x in order:  # grows as walked, one level after another
+        for g in rows:
+            y = tuple(x[i] for i in g)  # x after g
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                if len(order) > cap:
+                    raise CapExceeded(f"group closure exceeded cap {cap}")
+    return tuple(order)
+
 
 def symmetric_rows(d):
     """S_d as the rows of the swap of 0 and 1 and the d-cycle x -> x + 1."""
@@ -80,13 +105,13 @@ def semantic_cube_action(wildcards):
 def test_symmetric_group_orders():
     # the swap and the d-cycle generate all of S_d, element for element
     for d in range(1, 7):
-        elements = perm.enumerate_group(symmetric_rows(d))
+        elements = enumerate_group(symmetric_rows(d))
         assert len(elements) == len(set(elements))
         assert set(elements) == set(permutations(range(d)))
 
 
 def test_wreath_group_order_48():
-    assert len(perm.enumerate_group(perm.wreath_product_3_2())) == 48
+    assert len(enumerate_group(perm.wreath_product_3_2())) == 48
 
 
 def test_wreath_elements_preserve_blocks():
@@ -95,17 +120,17 @@ def test_wreath_elements_preserve_blocks():
     preserving = {g for g in permutations(range(6))
                   if all({g[i] for i in block} in blocks for block in blocks)}
     assert len(preserving) == 48
-    assert set(perm.enumerate_group(perm.wreath_product_3_2())) == preserving
+    assert set(enumerate_group(perm.wreath_product_3_2())) == preserving
 
 
 def test_cap_exceeded():
-    with pytest.raises(perm.CapExceeded):
-        perm.enumerate_group(symmetric_rows(10), cap=1000)
+    with pytest.raises(CapExceeded):
+        enumerate_group(symmetric_rows(10), cap=1000)
 
 
 def test_enumerate_group_deterministic_order():
-    g1 = perm.enumerate_group(symmetric_rows(4))
-    g2 = perm.enumerate_group(symmetric_rows(4))
+    g1 = enumerate_group(symmetric_rows(4))
+    g2 = enumerate_group(symmetric_rows(4))
     assert g1 == g2
     assert g1[0] == (0, 1, 2, 3)
 
@@ -118,16 +143,18 @@ def test_cube_strata_rows_match_the_per_slot_rule(wildcards):
     assert [list(row) for row in action.rows] == rows
 
 
+def sizes(orbits):
+    return tuple(len(orbit) for orbit in orbits)
+
+
 def test_induced_subset_action_point_counts():
-    assert len(perm.induced_subset_action(5, 2)) == 10
-    assert len(perm.induced_subset_action(4, 4)) == 1
-    assert len(perm.induced_subset_action(7, 3)) == 35
+    assert len(perm.induced_subset_action(5, 2).points) == 10
+    assert len(perm.induced_subset_action(4, 4).points) == 1
+    assert len(perm.induced_subset_action(7, 3).points) == 35
 
 
 def test_induced_subset_action_transitive():
-    dec = perm.orbit_decomposition(perm.induced_subset_action(7, 3))
-    assert dec.transitive
-    assert dec.sizes() == (35,)
+    assert sizes(perm.orbit_decomposition(perm.induced_subset_action(7, 3))) == (35,)
 
 
 def test_induced_subset_action_bad_index():
@@ -140,36 +167,30 @@ def test_induced_subset_action_bad_index():
 
 
 def test_full_subset_action_is_trivial():
-    dec = perm.orbit_decomposition(perm.induced_subset_action(4, 4))
-    assert dec.transitive and dec.sizes() == (1,)
+    assert perm.orbit_decomposition(perm.induced_subset_action(4, 4)) == ((0,),)
 
 
 def test_cube_strata_point_counts():
-    assert len(perm.cube_strata_action(0)) == 8
-    assert len(perm.cube_strata_action(1)) == 12
-    assert len(perm.cube_strata_action(2)) == 6
+    assert len(perm.cube_strata_action(0).points) == 8
+    assert len(perm.cube_strata_action(1).points) == 12
+    assert len(perm.cube_strata_action(2).points) == 6
     with pytest.raises(perm.BadIndex):
         perm.cube_strata_action(3)
 
 
 @pytest.mark.parametrize("wildcards,size", [(0, 8), (1, 12), (2, 6)])
 def test_cube_strata_transitive(wildcards, size):
-    dec = perm.orbit_decomposition(perm.cube_strata_action(wildcards))
-    assert dec.transitive
-    assert dec.sizes() == (size,)
+    assert sizes(perm.orbit_decomposition(perm.cube_strata_action(wildcards))) == (size,)
 
 
 def test_trivial_group_gives_singleton_orbits():
     action = perm.GroupAction(["a", "b", "c", "d"], [[0, 1, 2, 3]])
-    dec = perm.orbit_decomposition(action)
-    assert dec.sizes() == (1, 1, 1, 1)
-    assert not dec.transitive
+    assert perm.orbit_decomposition(action) == ((0,), (1,), (2,), (3,))
 
 
 def test_orbits_partition_points():
     action = perm.cube_strata_action(1)
-    dec = perm.orbit_decomposition(action)
-    flat = sorted(i for orbit in dec.orbits for i in orbit)
+    flat = sorted(i for orbit in perm.orbit_decomposition(action) for i in orbit)
     assert flat == list(range(len(action.points)))
 
 
@@ -177,17 +198,16 @@ def test_orbits_partition_points():
 def test_orbit_decomposition_independent_of_generator_order(order):
     base = perm.cube_strata_action(1)
     shuffled = perm.GroupAction(base.points, [base.rows[i] for i in order])
-    expected = {frozenset(o) for o in perm.orbit_decomposition(base).orbits}
-    got = {frozenset(o) for o in perm.orbit_decomposition(shuffled).orbits}
+    expected = {frozenset(o) for o in perm.orbit_decomposition(base)}
+    got = {frozenset(o) for o in perm.orbit_decomposition(shuffled)}
     assert got == expected
 
 
 def test_orbit_sizes_match_binomials_small():
     for d in range(1, 7):
         for i in range(1, d + 1):
-            dec = perm.orbit_decomposition(perm.induced_subset_action(d, i))
-            assert dec.transitive
-            assert dec.sizes() == (comb(d, i),)
+            orbits = perm.orbit_decomposition(perm.induced_subset_action(d, i))
+            assert sizes(orbits) == (comb(d, i),)
 
 
 def test_group_action_validates_bijections():
@@ -227,4 +247,4 @@ def random_actions(draw):
 @given(random_actions())
 def test_breadth_first_orbits_equal_union_find(action):
     # non-transitive actions included: one generator, or the identity
-    assert perm.orbit_decomposition(action).orbits == union_find_orbits(action)
+    assert perm.orbit_decomposition(action) == union_find_orbits(action)

@@ -1,14 +1,11 @@
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from multisec.semigroup import (
-    NumericalSemigroup,
-    sdn_generators,
-    semigroup_min_and_gcd,
-)
+from multisec.semigroup import NumericalSemigroup, sdn_generators
 
 
 def naive_members(generators, limit):
@@ -68,9 +65,10 @@ def test_membership_rejects_negative():
 
 
 def test_min_and_gcd_examples():
-    assert semigroup_min_and_gcd(NumericalSemigroup((5, 10))) == (5, 5)
-    assert semigroup_min_and_gcd(NumericalSemigroup((4, 6))) == (4, 2)
-    assert semigroup_min_and_gcd(NumericalSemigroup((3, 4))) == (3, 1)
+    for generators, want in (((5, 10), (5, 5)), ((4, 6), (4, 2)), ((3, 4), (3, 1)),
+                             ((7,), (7, 7))):
+        s = NumericalSemigroup(generators)
+        assert (s.min_positive(), s.gcd()) == want
 
 
 def test_generator_validation():
@@ -125,7 +123,7 @@ def test_gcd_and_min_consistency():
             s = sdn_generators(d, n)
             m = min(d, n)
             assert s.generators == tuple(comb(d, i) for i in range(1, m + 1))
-            assert s.gcd() == gcd(*s.generators) if len(s.generators) > 1 else s.generators[0]
+            assert s.gcd() == reduce(gcd, s.generators)
 
 
 # 1-5 generators in 1..60 sharing a factor k: k = 1 gives mostly coprime

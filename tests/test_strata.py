@@ -1,147 +1,141 @@
 import pytest
 
-from multisec import perm
+from multisec import perm, strata
 from multisec.semigroup import NumericalSemigroup
 from multisec.strata import (
     EmptyModel,
     NotDivisible,
     NotTransitive,
-    PencilModel,
-    RealizedDegree,
-    StratumClass,
-    enriques_pencil_model,
-    hypersurface_pencil_model,
-    index_and_degree_report,
-    k3_cover_pencil_model,
-    quotient_by_cover,
+    check_enriques_pencil,
+    check_hypersurface_pencil,
+    index_bounds,
+    stratum_divisor,
 )
 
 
+def hypersurface(d, n):
+    return check_hypersurface_pencil(d, n)[0]
+
+
 def test_hypersurface_divisors_5_2():
-    model = hypersurface_pencil_model(5, 2)
-    assert model.divisors() == (5, 10)
-    assert model.realized() == (5,)
+    results = hypersurface(5, 2)
+    assert results["divisors"] == [5, 10]
+    assert results["realized"] == [5]
+    assert results["strata"] == [{"name": "X^1", "divisor": 5},
+                                 {"name": "X^2", "divisor": 10}]
 
 
 def test_hypersurface_divisors_3_5():
-    assert hypersurface_pencil_model(3, 5).divisors() == (3, 3, 1)
+    assert hypersurface(3, 5)["divisors"] == [3, 3, 1]
 
 
 def test_hypersurface_divisors_7_3():
-    assert hypersurface_pencil_model(7, 3).divisors() == (7, 21, 35)
+    assert hypersurface(7, 3)["divisors"] == [7, 21, 35]
 
 
 def test_k3_cover_divisors():
-    model = k3_cover_pencil_model()
-    assert model.divisors() == (8, 12, 6)
-    assert [s.name for s in model.strata] == ["Y^3", "Y^4", "Y^5"]
+    assert [stratum_divisor(perm.cube_strata_action(w)) for w in (0, 1, 2)] == [8, 12, 6]
+    assert check_enriques_pencil()[0]["cover_divisors"] == [8, 12, 6]
 
 
 def test_quotient_by_cover():
-    assert quotient_by_cover(k3_cover_pencil_model(), 2).divisors() == (4, 6, 3)
+    results = check_enriques_pencil()[0]
+    assert results["divisors"] == [div // 2 for div in results["cover_divisors"]]
 
 
 def test_quotient_single_divisor():
-    stratum = StratumClass("Y^5", perm.cube_strata_action(2))
-    model = PencilModel((stratum,))
-    assert quotient_by_cover(model, 3).divisors() == (2,)
+    # the Y^5 stratum alone: six face patterns, three after the involution
+    assert stratum_divisor(perm.cube_strata_action(2)) == 6
+    assert check_enriques_pencil()[0]["divisors"][2] == 3
 
 
-def test_quotient_not_divisible():
+def test_quotient_not_divisible(monkeypatch):
+    # a cover stratum of odd orbit size has no quotient by the involution
+    monkeypatch.setattr(strata.perm, "cube_strata_action",
+                        lambda wildcards: perm.GroupAction("abc", [(1, 2, 0)]))
     with pytest.raises(NotDivisible):
-        quotient_by_cover(k3_cover_pencil_model(), 4)
+        check_enriques_pencil()
 
 
 def test_enriques_model():
-    model = enriques_pencil_model()
-    assert model.divisors() == (4, 6, 3)
-    assert sorted(model.realized()) == [3, 4]
-    provenance = {r.degree: r.provenance for r in model.realized_degrees}
+    results = check_enriques_pencil()[0]
+    assert results["divisors"] == [4, 6, 3]
+    assert sorted(results["realized"]) == [3, 4]
+    provenance = {r["degree"]: r["provenance"] for r in results["realized_provenance"]}
     assert provenance == {4: "cube vertices", 3: "cube faces"}
 
 
 def test_enriques_report_exact_values():
-    report = index_and_degree_report(enriques_pencil_model())
-    assert report.exact_min == 3
-    assert report.exact_index == 1
-    assert report.min_degree_lower == 3 and report.min_degree_upper == 3
-    assert report.index_divisor_lower == 1 and report.index_upper == 1
+    results, ok = check_enriques_pencil()
+    assert ok
+    assert results["min_degree"] == {"lower": 3, "upper": 3, "exact": 3}
+    assert results["index"] == {"lower_divisor": 1, "upper": 1, "exact": 1}
 
 
 def test_hypersurface_report_5_2():
-    report = index_and_degree_report(hypersurface_pencil_model(5, 2))
-    assert report.exact_min == 5
-    assert report.index_divisor_lower == 5
+    results, ok = check_hypersurface_pencil(5, 2)
+    assert ok
+    assert results["min_degree"]["exact"] == 5
+    assert results["index"]["lower_divisor"] == 5
 
 
 def test_hypersurface_report_4_2():
-    report = index_and_degree_report(hypersurface_pencil_model(4, 2))
-    assert report.min_degree_lower == 4 and report.min_degree_upper == 4
-    assert report.exact_min == 4
-    assert report.index_divisor_lower == 2
-    assert report.index_upper == 4
-    assert report.exact_index is None
+    results = hypersurface(4, 2)
+    assert results["min_degree"] == {"lower": 4, "upper": 4, "exact": 4}
+    assert results["index"] == {"lower_divisor": 2, "upper": 4}
 
 
 def test_exact_min_is_d_when_d_exceeds_n():
     for d, n in [(3, 2), (5, 2), (5, 4), (7, 3), (8, 1), (6, 5)]:
-        report = index_and_degree_report(hypersurface_pencil_model(d, n))
-        assert report.exact_min == d, (d, n)
+        assert hypersurface(d, n)["min_degree"]["exact"] == d, (d, n)
 
 
 def test_realized_must_lie_in_divisor_semigroup():
-    strata = hypersurface_pencil_model(5, 2).strata
-    with pytest.raises(ValueError):
-        PencilModel(strata, (RealizedDegree(7, "bogus"),))
+    with pytest.raises(ValueError, match="realized degree 7"):
+        index_bounds((5, 10), (7,))
+    with pytest.raises(ValueError, match="out of order"):
+        index_bounds((5, 10), (0,))  # 0 is in every semigroup, below its least divisor
 
 
 def test_realized_semigroup_membership_holds_for_builtins():
-    for model in (hypersurface_pencil_model(5, 2), enriques_pencil_model(),
-                  hypersurface_pencil_model(3, 5)):
-        semi = NumericalSemigroup(model.divisors())
-        for r in model.realized():
+    for results in (hypersurface(5, 2), check_enriques_pencil()[0], hypersurface(3, 5)):
+        semi = NumericalSemigroup(tuple(results["divisors"]))
+        for r in results["realized"]:
             assert semi.contains(r)
 
 
 def test_index_lower_divides_semigroup_members():
     from test_semigroup import naive_members
 
-    for model in (hypersurface_pencil_model(4, 2), enriques_pencil_model()):
-        report = index_and_degree_report(model)
-        for x in naive_members(set(model.divisors()), 200):
-            assert x % report.index_divisor_lower == 0
+    for results in (hypersurface(4, 2), check_enriques_pencil()[0]):
+        for x in naive_members(set(results["divisors"]), 200):
+            assert x % results["index"]["lower_divisor"] == 0
 
 
 def test_report_invariant_under_reordering():
-    model = enriques_pencil_model()
-    reordered = PencilModel(tuple(reversed(model.strata)),
-                            tuple(reversed(model.realized_degrees)),
-                            model.quotient_factor)
-    a = index_and_degree_report(model)
-    b = index_and_degree_report(reordered)
-    assert sorted(a.divisors) == sorted(b.divisors)
-    assert sorted(a.realized) == sorted(b.realized)
-    assert (a.min_degree_lower, a.min_degree_upper, a.exact_min) == \
-        (b.min_degree_lower, b.min_degree_upper, b.exact_min)
-    assert (a.index_divisor_lower, a.index_upper, a.exact_index) == \
-        (b.index_divisor_lower, b.index_upper, b.exact_index)
+    a = index_bounds((4, 6, 3), (4, 3))
+    b = index_bounds((3, 6, 4), (3, 4))
+    assert sorted(a.pop("divisors")) == sorted(b.pop("divisors"))
+    assert sorted(a.pop("realized")) == sorted(b.pop("realized"))
+    assert a == b
 
 
 def test_non_transitive_stratum_is_hard_error():
     action = perm.GroupAction(["a", "b"], [[0, 1]])
     with pytest.raises(NotTransitive):
-        StratumClass("bad", action)
+        stratum_divisor(action)
 
 
 def test_empty_model_report_raises():
     with pytest.raises(EmptyModel):
-        index_and_degree_report(PencilModel(k3_cover_pencil_model().strata))
+        index_bounds((8, 12, 6), ())
+    with pytest.raises(EmptyModel):
+        index_bounds((), (3,))
 
 
 def test_report_json_shape():
-    payload = index_and_degree_report(enriques_pencil_model()).to_json_dict()
+    payload = check_enriques_pencil()[0]
     assert payload["divisors"] == [4, 6, 3]
     assert payload["min_degree"] == {"lower": 3, "upper": 3, "exact": 3}
     assert payload["index"] == {"lower_divisor": 1, "upper": 1, "exact": 1}
-    no_exact = index_and_degree_report(hypersurface_pencil_model(4, 2)).to_json_dict()
-    assert "exact" not in no_exact["index"]
+    assert "exact" not in hypersurface(4, 2)["index"]

@@ -4,29 +4,30 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multisec.semigroup import NumericalSemigroup
+from multisec.strata import check_hypersurface_pencil
 from multisec.witness import (
     BadInput,
+    check_witness,
     choose_ab_and_certify,
     span_and_basepoint,
-    witness_parameters,
 )
 
 
 def test_witness_parameters_smallest():
-    report = witness_parameters(1, 1)
-    assert (report.n, report.d) == (4, 3)
+    results, ok = check_witness(1, 1)
+    assert (results["n"], results["d"], results["min_degree_claim"]) == (4, 3, 3)
+    assert ok and "e" not in results
 
 
 def test_witness_parameters_2_3():
-    report = witness_parameters(2, 3)
-    assert (report.n, report.d) == (24, 23)
+    results = check_witness(2, 3)[0]
+    assert (results["n"], results["d"]) == (24, 23)
 
 
 def test_witness_parameters_bad_input():
-    with pytest.raises(BadInput):
-        witness_parameters(1, 0)
-    with pytest.raises(BadInput):
-        witness_parameters(0, 1)
+    for a, b, e in ((1, 0, None), (0, 1, None), (0, 1, 4)):
+        with pytest.raises(BadInput):
+            check_witness(a, b, e)
 
 
 def test_span_and_basepoint_examples():
@@ -43,23 +44,23 @@ def test_basepoint_everywhere_up_to_20():
 
 
 def test_choose_smallest_case():
-    report = choose_ab_and_certify(1, 1, 2)
-    assert (report.a, report.b) == (1, 1)
-    assert report.no_section_ok is True
+    assert choose_ab_and_certify(1, 1, 2) == (1, 1)
+    assert check_witness(1, 1, 2)[0]["no_section_ok"] is True
 
 
 def test_choose_tie_breaks_to_smaller_a():
-    report = choose_ab_and_certify(1, 1, 4)
-    assert (report.a, report.b) == (1, 2)
-    assert report.no_section_ok is True
+    assert choose_ab_and_certify(1, 1, 4) == (1, 2)
+    assert check_witness(1, 1, 4)[0]["no_section_ok"] is True
 
 
 def test_choose_large_e():
-    report = choose_ab_and_certify(2, 3, 100)
-    assert 4 * report.a * report.b == 104
-    assert (report.a, report.b) == (2, 13)
-    assert 4 * report.a * report.b > 101
-    assert report.e == 100 and report.no_section_ok
+    a, b = choose_ab_and_certify(2, 3, 100)
+    assert 4 * a * b == 104
+    assert (a, b) == (2, 13)
+    assert 4 * a * b > 101
+    results = check_witness(2, 3, 100)[0]
+    assert (results["a"], results["b"]) == (2, 13)
+    assert results["e"] == 100 and results["no_section_ok"]
 
 
 def test_choose_is_minimal_by_exhaustion():
@@ -69,13 +70,13 @@ def test_choose_is_minimal_by_exhaustion():
     for a_prime in range(1, 5):
         for b_prime in range(1, 5):
             for e in range(1, 201):
-                report = choose_ab_and_certify(a_prime, b_prime, e)
+                a, b = choose_ab_and_certify(a_prime, b_prime, e)
                 bound = a_prime * max(b_prime, (e + 1) // (4 * a_prime) + 1)
-                best = min((a * b, a, b)
-                           for a in range(a_prime, bound + 1)
-                           for b in range(b_prime, bound // a + 1)
-                           if 4 * a * b > e + 1)
-                assert (report.a * report.b, report.a, report.b) == best
+                best = min((x * y, x, y)
+                           for x in range(a_prime, bound + 1)
+                           for y in range(b_prime, bound // x + 1)
+                           if 4 * x * y > e + 1)
+                assert (a * b, a, b) == best
 
 
 def full_scan(a_prime, b_prime, e):
@@ -99,25 +100,24 @@ def full_scan(a_prime, b_prime, e):
 @example(2, 1, 10 ** 9)  # m odd: (2, (m + 1) / 2) is one above the bound, so a scan
 @example(10 ** 12, 10 ** 12, 10 ** 12)
 def test_choose_matches_the_full_scan(a_prime, b_prime, e):
-    report = choose_ab_and_certify(a_prime, b_prime, e)
-    assert (report.a, report.b) == full_scan(a_prime, b_prime, e)
+    assert choose_ab_and_certify(a_prime, b_prime, e) == full_scan(a_prime, b_prime, e)
 
 
 def test_certificate_implication_sample():
     for a_prime in (1, 2, 3):
         for b_prime in (1, 2, 3):
             for e in (1, 5, 40, 100):
-                report = choose_ab_and_certify(a_prime, b_prime, e)
-                assert 4 * report.a * report.b > e + 1
-                assert report.no_section_ok
-                assert report.basepoint_ok
+                results, ok = check_witness(a_prime, b_prime, e)
+                assert 4 * results["a"] * results["b"] > e + 1
+                assert results["no_section_ok"]
+                assert results["basepoint_ok"] and ok
 
 
 def test_product_monotone_in_e():
     previous = 0
     for e in range(1, 120):
-        report = choose_ab_and_certify(1, 1, e)
-        product = 4 * report.a * report.b
+        a, b = choose_ab_and_certify(1, 1, e)
+        product = 4 * a * b
         assert product >= previous
         previous = product
 
@@ -131,18 +131,13 @@ def test_degree_floor_cross_check():
     # the divisibility bound applies through the strata i = 1, ..., d-1,
     # whose orbit sizes C(d, i) all sit at or above C(d, 1) = d
     for a, b in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-        report = witness_parameters(a, b)
-        d = report.d
+        d = check_witness(a, b)[0]["d"]
         semi = NumericalSemigroup(tuple(comb(d, i) for i in range(1, d)))
         assert semi.min_positive() == d
-        assert report.d == semi.min_positive()
 
 
 def test_full_stratum_range_degenerates_for_witness_parameters():
     # with n = d + 1 the top stratum contributes C(d, d) = 1, which is why
     # the degree-floor cross-check above stops at i = d - 1
-    from multisec.strata import hypersurface_pencil_model
-
-    report = witness_parameters(1, 1)
-    model = hypersurface_pencil_model(report.d, report.n)
-    assert min(model.divisors()) == 1
+    results = check_witness(1, 1)[0]
+    assert min(check_hypersurface_pencil(results["d"], results["n"])[0]["divisors"]) == 1
