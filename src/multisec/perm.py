@@ -1,22 +1,26 @@
-"""Finite permutation groups as generator rows, induced actions, orbits.
+"""Finite permutation groups as generator rows, orbits, and subset orbits.
 
 A group on {0, ..., k-1} is a tuple of generator rows: row g lists the
 images g(0), ..., g(k-1).  Nothing here composes group elements, since an
 orbit is the breadth-first closure of a point under the rows (Seress 2003,
-section 4.1, on permutation group algorithms).  Actions on
-combinatorial families (subsets of a fiber as bitmasks, star-patterns on
-three blocks) store, per generator, the induced row on their points.
+section 4.1, on permutation group algorithms).  The cube-pattern action
+(star-patterns on three blocks) stores, per generator, the induced row on
+its points.  The symmetric group's action on fiber subsets stores no rows:
+its orbits are walked on d-bit masks, each generator a bit operation.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import product
 from typing import Sequence
 
 
 class BadIndex(ValueError):
     """Parameter outside the supported range."""
+
+
+class NotTransitive(ValueError):
+    """A stratum action with more than one orbit cannot supply a divisor."""
 
 
 def wreath_product_3_2() -> tuple[tuple[int, ...], ...]:
@@ -68,28 +72,60 @@ def orbit_decomposition(action: GroupAction) -> tuple[tuple[int, ...], ...]:
     return tuple(orbits)
 
 
-def induced_subset_action(d: int, i: int) -> GroupAction:
-    """The symmetric group on d <= 64 points acting on its i-element subsets.
+MAX_MASK_BITS = 24  # label array and popcount table: 16 MiB each at the bound
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
-    Point k is the k-th i-subset in colex order, the d-bit mask points[k], as
-    Gosper's hack lists them (Knuth, TAOCP 4A, 7.2.1.3).  S_d is generated by
-    the swap of 0 and 1, which exchanges bits 0 and 1, and the d-cycle
-    x -> x + 1, which rotates left in d bits; for d = 1 the rotation alone
-    is the identity.
+
+def _popcount_table(d: int) -> bytearray:
+    """Byte k is the number of set bits of k, for k < 2^d, without binomials.
+
+    Doubling: the masks with bit b set are those below 2^b plus one bit.
     """
-    if not 1 <= i <= d <= 64:
-        raise BadIndex(f"subset size {i} out of range 1..{d}, or d above 64")
-    masks, m, full = array("Q"), (1 << i) - 1, (1 << d) - 1
-    while m <= full:
-        masks.append(m)
-        low = m & -m
-        m = (m + low) | ((m ^ (m + low)) >> 2) // low
-    index = {m: k for k, m in enumerate(masks)}
-    rotate = array("I", [index[m << 1 & full | m >> d - 1] for m in masks])
-    if d == 1:
-        return GroupAction(masks, [rotate])
-    swap = array("I", [index[m ^ 3 if (m ^ m >> 1) & 1 else m] for m in masks])
-    return GroupAction(masks, [swap, rotate])
+    table = bytearray(1)
+    for _ in range(d):
+        table += table.translate(_PLUS_ONE)
+    return table
+
+
+def subset_orbit_sizes(d: int, m: int) -> tuple[int, ...]:
+    """Orbit sizes of S_d on the i-element subsets of d points, i = 1..m.
+
+    A subset is a d-bit mask.  S_d is generated by the swap of points 0
+    and 1, which exchanges bits 0 and 1, and the d-cycle x -> x + 1, which
+    rotates left in d bits; for d = 1 the rotation alone is the identity.
+    For each i the orbit of (1 << i) - 1 is walked breadth-first, each mask
+    labelled i in one byte array over all 2^d masks, so no mask is listed
+    or indexed in advance.  The generators are bijections of the masks, so
+    the orbits are disjoint and one label array serves every i.  The
+    labels must then equal the popcount table with the classes above m
+    zeroed: every orbit member has popcount i, and every i-subset is in
+    the orbit, so each action is transitive, with as many points as the
+    table has masks of popcount i.
+    """
+    if not 1 <= m <= d <= MAX_MASK_BITS:
+        raise BadIndex(f"subset size {m} out of range 1..{d}, or d above {MAX_MASK_BITS}")
+    full, top = (1 << d) - 1, d - 1
+    swap = 3 if d > 1 else 0  # bits 0 and 1; S_1 has no swap
+    label = bytearray(1 << d)
+    sizes = []
+    for i in range(1, m + 1):
+        start = (1 << i) - 1
+        label[start] = i
+        orbit = [start]
+        for x in orbit:  # grows as walked; a finite group's inverses are powers
+            y = x << 1 & full | x >> top
+            if not label[y]:
+                label[y] = i
+                orbit.append(y)
+            if (x ^ x >> 1) & 1:
+                y = x ^ swap
+                if not label[y]:
+                    label[y] = i
+                    orbit.append(y)
+        sizes.append(len(orbit))
+    if label != _popcount_table(d).translate(bytes(range(m + 1)).ljust(256, b"\0")):
+        raise NotTransitive(f"subset orbits of S_{d} are not the popcount classes 1..{m}")
+    return tuple(sizes)
 
 
 def cube_strata_action(wildcards: int) -> GroupAction:

@@ -15,11 +15,8 @@ from __future__ import annotations
 from math import comb, gcd
 
 from . import perm
+from .perm import NotTransitive
 from .semigroup import NumericalSemigroup, sdn_generators
-
-
-class NotTransitive(ValueError):
-    """A stratum action with more than one orbit cannot supply a divisor."""
 
 
 class NotDivisible(ValueError):
@@ -73,15 +70,15 @@ def check_hypersurface_pencil(d: int, n: int) -> tuple[dict, bool]:
     """The degree-d hypersurface pencil twisted in degree n, and its verdict.
 
     Strata X^i for i = 1, ..., min(d, n) carry the induced action on
-    i-element fiber subsets, whose orbit size must be C(d, i); the general
-    line section realizes degree d.  The pencil agrees with the semigroup
-    when its divisors are the generators of `sdn_generators(d, n)` and its
-    lower bounds on minimal degree and index are their minimum and gcd.
+    i-element fiber subsets, shown transitive by `perm.subset_orbit_sizes`,
+    whose orbit size must be C(d, i); the general line section realizes
+    degree d.  The pencil agrees with the semigroup when its divisors are
+    the generators of `sdn_generators(d, n)` and its lower bounds on
+    minimal degree and index are their minimum and gcd.
     """
     semi = sdn_generators(d, n)
     strata = []
-    for i in range(1, min(d, n) + 1):
-        divisor = stratum_divisor(perm.induced_subset_action(d, i))
+    for i, divisor in enumerate(perm.subset_orbit_sizes(d, min(d, n)), start=1):
         if divisor != comb(d, i):
             raise AssertionError(f"orbit size {divisor} != C({d},{i}) = {comb(d, i)}")
         strata.append({"name": f"X^{i}", "divisor": divisor})

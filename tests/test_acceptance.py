@@ -55,9 +55,9 @@ def test_criterion_03_orbits_match_binomials():
     ok = True
     for d in range(2, 9):
         for n in range(1, 9):
-            for i in range(1, min(d, n) + 1):
-                orbits = perm.orbit_decomposition(perm.induced_subset_action(d, i))
-                ok = ok and len(orbits) == 1 and len(orbits[0]) == comb(d, i)
+            m = min(d, n)  # each stratum transitive, or NotTransitive is raised
+            ok = ok and perm.subset_orbit_sizes(d, m) == tuple(
+                comb(d, i) for i in range(1, m + 1))
     _criterion(3, "subset-orbit sizes equal C(d,i) for 2<=d<=8, n<=8",
                ok, time.perf_counter() - start, 10.0)
 

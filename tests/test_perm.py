@@ -1,15 +1,17 @@
+import tracemalloc
+from array import array
 from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multisec import perm
+from multisec import cli, perm
 
 
-# Oracles kept from the code the rows replaced: the tuple-based subset
-# action, the union-find orbits and the per-slot wreath rule on patterns,
-# and the group-order oracle.
+# Oracles kept from the code the rows and the mask pass replaced: the
+# tuple-based and the Gosper-listed subset actions, the union-find orbits,
+# the per-slot wreath rule on patterns, and the group-order oracle.
 
 class CapExceeded(RuntimeError):
     """Group closure grew past the requested cap."""
@@ -50,6 +52,26 @@ def tuple_subset_action(d, i):
     rows = [[index[tuple(sorted(g[x] for x in s))] for s in subsets]
             for g in symmetric_rows(d)]
     return subsets, rows
+
+
+def induced_subset_action(d, i):
+    """S_d on its i-subsets as d-bit masks in colex order, with image rows.
+
+    Point k is the k-th i-subset as Gosper's hack lists them (Knuth, TAOCP
+    4A, 7.2.1.3); the rows are the swap of bits 0 and 1 and the rotation
+    left in d bits, the rotation alone for d = 1.
+    """
+    masks, m, full = array("Q"), (1 << i) - 1, (1 << d) - 1
+    while m <= full:
+        masks.append(m)
+        low = m & -m
+        m = (m + low) | ((m ^ (m + low)) >> 2) // low
+    index = {m: k for k, m in enumerate(masks)}
+    rotate = array("I", [index[m << 1 & full | m >> d - 1] for m in masks])
+    if d == 1:
+        return perm.GroupAction(masks, [rotate])
+    swap = array("I", [index[m ^ 3 if (m ^ m >> 1) & 1 else m] for m in masks])
+    return perm.GroupAction(masks, [swap, rotate])
 
 
 def union_find_orbits(action):
@@ -148,26 +170,44 @@ def sizes(orbits):
 
 
 def test_induced_subset_action_point_counts():
-    assert len(perm.induced_subset_action(5, 2).points) == 10
-    assert len(perm.induced_subset_action(4, 4).points) == 1
-    assert len(perm.induced_subset_action(7, 3).points) == 35
+    assert len(induced_subset_action(5, 2).points) == 10
+    assert len(induced_subset_action(4, 4).points) == 1
+    assert len(induced_subset_action(7, 3).points) == 35
+    assert perm.subset_orbit_sizes(5, 2) == (5, 10)
+    assert perm.subset_orbit_sizes(4, 4) == (4, 6, 4, 1)
+    assert perm.subset_orbit_sizes(7, 3) == (7, 21, 35)
 
 
 def test_induced_subset_action_transitive():
-    assert sizes(perm.orbit_decomposition(perm.induced_subset_action(7, 3))) == (35,)
+    assert sizes(perm.orbit_decomposition(induced_subset_action(7, 3))) == (35,)
+    assert perm.subset_orbit_sizes(7, 3)[-1] == 35
 
 
 def test_induced_subset_action_bad_index():
-    with pytest.raises(perm.BadIndex):
-        perm.induced_subset_action(5, 0)
-    with pytest.raises(perm.BadIndex):
-        perm.induced_subset_action(5, 6)
-    with pytest.raises(perm.BadIndex):  # masks are 64-bit
-        perm.induced_subset_action(65, 1)
+    for d, m in ((5, 0), (5, 6), (0, 0), (-1, 1)):
+        with pytest.raises(perm.BadIndex):
+            perm.subset_orbit_sizes(d, m)
+    with pytest.raises(perm.BadIndex):  # the label array has 2^d bytes
+        perm.subset_orbit_sizes(perm.MAX_MASK_BITS + 1, 1)
+
+
+def test_mask_pass_refuses_large_d_before_allocating():
+    # 2^64 or 2^(10^9) bytes would never be allocated; the bound comes first
+    assert perm.MAX_MASK_BITS >= cli.MAX_D
+    tracemalloc.start()
+    try:
+        for d in (perm.MAX_MASK_BITS + 1, 64, 10 ** 9):
+            with pytest.raises(perm.BadIndex):
+                perm.subset_orbit_sizes(d, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_full_subset_action_is_trivial():
-    assert perm.orbit_decomposition(perm.induced_subset_action(4, 4)) == ((0,),)
+    assert perm.orbit_decomposition(induced_subset_action(4, 4)) == ((0,),)
+    assert perm.subset_orbit_sizes(1, 1) == (1,)
 
 
 def test_cube_strata_point_counts():
@@ -205,9 +245,40 @@ def test_orbit_decomposition_independent_of_generator_order(order):
 
 def test_orbit_sizes_match_binomials_small():
     for d in range(1, 7):
-        for i in range(1, d + 1):
-            orbits = perm.orbit_decomposition(perm.induced_subset_action(d, i))
-            assert sizes(orbits) == (comb(d, i),)
+        assert perm.subset_orbit_sizes(d, d) == tuple(comb(d, i) for i in range(1, d + 1))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))))
+def test_mask_pass_matches_the_subset_action_oracle(dm):
+    d, m = dm
+    oracle = tuple(sizes(perm.orbit_decomposition(induced_subset_action(d, i)))
+                   for i in range(1, m + 1))
+    assert oracle == tuple((comb(d, i),) for i in range(1, m + 1))
+    assert perm.subset_orbit_sizes(d, m) == tuple(comb(d, i) for i in range(1, m + 1))
+
+
+def test_popcount_table_counts_bits():
+    table = perm._popcount_table(10)
+    assert list(table) == [bin(k).count("1") for k in range(1 << 10)]
+    assert perm._popcount_table(0) == bytearray(1)
+
+
+@pytest.mark.parametrize("moved", [0b10011, 0b00011])
+def test_mask_pass_refuses_an_orbit_off_its_popcount_class(monkeypatch, moved):
+    # relabelling one mask in the table stands for an orbit that misses an
+    # i-subset (0b10011 read as popcount 2: the orbit of 0b11 cannot reach
+    # it) or for one that leaves its class (0b00011 read as popcount 3)
+    real = perm._popcount_table
+
+    def relabelled(d):
+        table = real(d)
+        table[moved] = 5 - table[moved]
+        return table
+
+    monkeypatch.setattr(perm, "_popcount_table", relabelled)
+    with pytest.raises(perm.NotTransitive):
+        perm.subset_orbit_sizes(5, 3)
 
 
 def test_group_action_validates_bijections():
@@ -223,7 +294,7 @@ def test_subset_action_matches_tuple_oracle_image_by_image():
     # and under mask <-> sorted tuple each generator row is the oracle's
     for d in range(1, 11):
         for i in range(1, d + 1):
-            action = perm.induced_subset_action(d, i)
+            action = induced_subset_action(d, i)
             subsets, oracle_rows = tuple_subset_action(d, i)
             as_tuples = [tuple(b for b in range(d) if m >> b & 1)
                          for m in action.points]

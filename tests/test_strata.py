@@ -126,6 +126,28 @@ def test_non_transitive_stratum_is_hard_error():
         stratum_divisor(action)
 
 
+def test_hypersurface_stratum_must_be_transitive(monkeypatch):
+    # the popcount table reads one 2-subset as a 3-subset: the orbit of 0b11
+    # then covers a mask the table keeps out of its class
+    real = perm._popcount_table
+
+    def relabelled(d):
+        table = real(d)
+        table[0b11] = 3
+        return table
+
+    monkeypatch.setattr(perm, "_popcount_table", relabelled)
+    with pytest.raises(NotTransitive):
+        check_hypersurface_pencil(5, 2)
+
+
+def test_hypersurface_orbit_size_must_be_binomial(monkeypatch):
+    # the closed form cross-checks whatever the orbit pass returns
+    monkeypatch.setattr(strata.perm, "subset_orbit_sizes", lambda d, m: (5, 9))
+    with pytest.raises(AssertionError, match=r"orbit size 9 != C\(5,2\) = 10"):
+        check_hypersurface_pencil(5, 2)
+
+
 def test_empty_model_report_raises():
     with pytest.raises(EmptyModel):
         index_bounds((8, 12, 6), ())
