@@ -25,7 +25,7 @@ class UsageError(ValueError):
 
 # Input caps that bound time and memory, timed cold (least of seven runs,
 # bytecode compiled) on a 2-CPU x86_64 host with Python 3.11:
-# `hypersurface --d 17 --n 17` about 0.09 s, `witness --a 2 --b 1 --e 10^12`
+# `hypersurface --d 17 --n 17` about 0.07 s, `witness --a 2 --b 1 --e 10^12`
 # about 0.5 s, 64 samples of height 10^100 about 0.1 s.  `semigroup` shares the
 # cap on --d, which also bounds its O(k * d) Apery-set precompute; `witness`
 # --a and --b share the cap on --e, which keeps n = 4ab far below the digit

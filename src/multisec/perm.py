@@ -1,12 +1,13 @@
 """Finite permutation groups as generator rows, orbits, and subset orbits.
 
 A group on {0, ..., k-1} is a tuple of generator rows: row g lists the
-images g(0), ..., g(k-1).  Nothing here composes group elements, since an
-orbit is the breadth-first closure of a point under the rows (Seress 2003,
-section 4.1, on permutation group algorithms).  The cube-pattern action
-(star-patterns on three blocks) stores, per generator, the induced row on
-its points.  The symmetric group's action on fiber subsets stores no rows:
-its orbits are walked on d-bit masks, each generator a bit operation.
+images g(0), ..., g(k-1).  An orbit is the breadth-first closure of a
+point under the rows (Seress 2003, section 4.1, on permutation group
+algorithms).  The cube-pattern action (star-patterns on three blocks)
+stores, per generator, the induced row on its points.  The symmetric
+group's subset strata walk no orbit: an O(d^2) certificate that its two
+generators generate S_d makes each transitive, of the size of a popcount
+class of d-bit masks.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def orbit_decomposition(action: GroupAction) -> tuple[tuple[int, ...], ...]:
     return tuple(orbits)
 
 
-MAX_MASK_BITS = 24  # label array and popcount table: 16 MiB each at the bound
+MAX_MASK_BITS = 24  # popcount table: 16 MiB at the bound
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
@@ -87,45 +88,42 @@ def _popcount_table(d: int) -> bytearray:
     return table
 
 
+def _generator_rows(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """S_d's generators as rows on 0..d-1: the swap (0 1) and the cycle x -> x + 1.
+
+    For d = 1 the swap is the identity.
+    """
+    swap = (1, 0, *range(2, d)) if d > 1 else (0,)
+    return swap, (*range(1, d), 0)
+
+
 def subset_orbit_sizes(d: int, m: int) -> tuple[int, ...]:
     """Orbit sizes of S_d on the i-element subsets of d points, i = 1..m.
 
-    A subset is a d-bit mask.  S_d is generated by the swap of points 0
-    and 1, which exchanges bits 0 and 1, and the d-cycle x -> x + 1, which
-    rotates left in d bits; for d = 1 the rotation alone is the identity.
-    For each i the orbit of (1 << i) - 1 is walked breadth-first, each mask
-    labelled i in one byte array over all 2^d masks, so no mask is listed
-    or indexed in advance.  The generators are bijections of the masks, so
-    the orbits are disjoint and one label array serves every i.  The
-    labels must then equal the popcount table with the classes above m
-    zeroed: every orbit member has popcount i, and every i-subset is in
-    the orbit, so each action is transitive, with as many points as the
-    table has masks of popcount i.
+    The certificate: conjugating the swap by the cycle k times must give
+    the adjacent transposition (k k+1), for k = 0..d-2, else the action
+    is refused.  The adjacent transpositions generate S_d, and S_d takes
+    any i-subset to {0..i-1} by adjacent swaps, so every stratum action
+    is transitive; for d = 1 nothing is checked.  The certificate is
+    sufficient but not necessary: (0 2) and the cycle generate S_d for
+    odd d, yet fail it.  Each orbit is then the whole popcount-i class of
+    d-bit masks, and its size is counted in the popcount table, without
+    binomials.  O(d^2) for the certificate, O(m * 2^d) byte counts.
     """
     if not 1 <= m <= d <= MAX_MASK_BITS:
         raise BadIndex(f"subset size {m} out of range 1..{d}, or d above {MAX_MASK_BITS}")
-    full, top = (1 << d) - 1, d - 1
-    swap = 3 if d > 1 else 0  # bits 0 and 1; S_1 has no swap
-    label = bytearray(1 << d)
-    sizes = []
-    for i in range(1, m + 1):
-        start = (1 << i) - 1
-        label[start] = i
-        orbit = [start]
-        for x in orbit:  # grows as walked; a finite group's inverses are powers
-            y = x << 1 & full | x >> top
-            if not label[y]:
-                label[y] = i
-                orbit.append(y)
-            if (x ^ x >> 1) & 1:
-                y = x ^ swap
-                if not label[y]:
-                    label[y] = i
-                    orbit.append(y)
-        sizes.append(len(orbit))
-    if label != _popcount_table(d).translate(bytes(range(m + 1)).ljust(256, b"\0")):
-        raise NotTransitive(f"subset orbits of S_{d} are not the popcount classes 1..{m}")
-    return tuple(sizes)
+    swap, cycle = _generator_rows(d)
+    row = tuple(swap)
+    for k in range(d - 1):
+        if row != (*range(k), k + 1, k, *range(k + 2, d)):
+            raise NotTransitive(f"conjugate {k} of the swap by the cycle of S_{d} "
+                                f"is not ({k} {k + 1})")
+        conjugate = [-1] * d  # cycle . row . cycle^-1; an unset -1 fails the next check
+        for x in range(d):
+            conjugate[cycle[x]] = cycle[row[x]]
+        row = tuple(conjugate)
+    table = _popcount_table(d)
+    return tuple(table.count(i) for i in range(1, m + 1))
 
 
 def cube_strata_action(wildcards: int) -> GroupAction:

@@ -70,11 +70,12 @@ def check_hypersurface_pencil(d: int, n: int) -> tuple[dict, bool]:
     """The degree-d hypersurface pencil twisted in degree n, and its verdict.
 
     Strata X^i for i = 1, ..., min(d, n) carry the induced action on
-    i-element fiber subsets, shown transitive by `perm.subset_orbit_sizes`,
-    whose orbit size must be C(d, i); the general line section realizes
-    degree d.  The pencil agrees with the semigroup when its divisors are
-    the generators of `sdn_generators(d, n)` and its lower bounds on
-    minimal degree and index are their minimum and gcd.
+    i-element fiber subsets, certified transitive by
+    `perm.subset_orbit_sizes`, whose orbit size, counted in a popcount
+    table, must be C(d, i); the general line section realizes degree d.
+    The pencil agrees with the semigroup when its divisors are the
+    generators of `sdn_generators(d, n)` and its lower bounds on minimal
+    degree and index are their minimum and gcd.
     """
     semi = sdn_generators(d, n)
     strata = []

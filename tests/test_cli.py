@@ -373,8 +373,9 @@ def _verdict(argv, out):
     return out.rstrip().rpartition("verdict: ")[2]
 
 
-# The slowest cold run at a cap in the README table is 0.78 s (`witness --a 1
-# --b 1 --e 10^12`; 64 samples of height 10^100 take 0.10 s).  Ten times
+# The slowest cold run at a cap in the README table is 0.51 s (`witness --a 2
+# --b 1 --e 10^12`, a full factor scan; `--a 1 --b 1` returns at once, in
+# 0.06 s, and 64 samples of height 10^100 take 0.10 s).  About fifteen times
 # that leaves room for a slow or loaded host, while a flag that lost its cap
 # (an O(e) witness scan, 2^d subsets past d = 17) runs far longer.
 WALL_BOUND_S = 8.0

@@ -1,7 +1,7 @@
 import tracemalloc
 from array import array
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from multisec import cli, perm
 
 
-# Oracles kept from the code the rows and the mask pass replaced: the
-# tuple-based and the Gosper-listed subset actions, the union-find orbits,
-# the per-slot wreath rule on patterns, and the group-order oracle.
+# Oracles kept from the code the rows, the mask pass and the S_d
+# certificate replaced: the tuple-based and the Gosper-listed subset
+# actions, the mask-space orbit walk, the union-find orbits, the per-slot
+# wreath rule on patterns, and the group-order oracle.
 
 class CapExceeded(RuntimeError):
     """Group closure grew past the requested cap."""
@@ -72,6 +73,38 @@ def induced_subset_action(d, i):
         return perm.GroupAction(masks, [rotate])
     swap = array("I", [index[m ^ 3 if (m ^ m >> 1) & 1 else m] for m in masks])
     return perm.GroupAction(masks, [swap, rotate])
+
+
+def mask_walk_orbit_sizes(d, m):
+    """Orbit sizes of S_d on i-subsets, i = 1..m, walked on one byte array.
+
+    For each i the orbit of the mask (1 << i) - 1 under the swap of bits
+    0 and 1 and the rotation left in d bits is walked breadth-first, each
+    mask labelled i; the labels must equal `perm._popcount_table` with the
+    classes above m zeroed, else the walk raises `perm.NotTransitive`.
+    """
+    full, top = (1 << d) - 1, d - 1
+    swap = 3 if d > 1 else 0  # bits 0 and 1; S_1 has no swap
+    label = bytearray(1 << d)
+    sizes = []
+    for i in range(1, m + 1):
+        start = (1 << i) - 1
+        label[start] = i
+        orbit = [start]
+        for x in orbit:  # grows as walked; a finite group's inverses are powers
+            y = x << 1 & full | x >> top
+            if not label[y]:
+                label[y] = i
+                orbit.append(y)
+            if (x ^ x >> 1) & 1:
+                y = x ^ swap
+                if not label[y]:
+                    label[y] = i
+                    orbit.append(y)
+        sizes.append(len(orbit))
+    if label != perm._popcount_table(d).translate(bytes(range(m + 1)).ljust(256, b"\0")):
+        raise perm.NotTransitive(f"subset orbits of S_{d} are not the popcount classes 1..{m}")
+    return tuple(sizes)
 
 
 def union_find_orbits(action):
@@ -276,9 +309,48 @@ def test_mask_pass_refuses_an_orbit_off_its_popcount_class(monkeypatch, moved):
         table[moved] = 5 - table[moved]
         return table
 
+    assert mask_walk_orbit_sizes(5, 3) == (5, 10, 10)
     monkeypatch.setattr(perm, "_popcount_table", relabelled)
     with pytest.raises(perm.NotTransitive):
-        perm.subset_orbit_sizes(5, 3)
+        mask_walk_orbit_sizes(5, 3)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))))
+def test_certified_sizes_match_the_mask_walk(dm):
+    d, m = dm
+    binomials = tuple(comb(d, i) for i in range(1, m + 1))
+    assert perm.subset_orbit_sizes(d, m) == mask_walk_orbit_sizes(d, m) == binomials
+
+
+def test_generator_rows_generate_the_symmetric_group():
+    for d in range(2, 7):
+        assert perm._generator_rows(d) == symmetric_rows(d)
+    assert perm._generator_rows(1) == ((0,), (0,))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_certificate_is_sufficient_not_necessary(monkeypatch, d):
+    # for odd d, (0 2) and the d-cycle still generate S_d, and the walk sees
+    # every stratum transitive, but the conjugates are not adjacent swaps
+    def rows(d):
+        return (2, 1, 0, *range(3, d)), (*range(1, d), 0)
+
+    assert len(enumerate_group(rows(d))) == factorial(d)
+    monkeypatch.setattr(perm, "_generator_rows", rows)
+    assert mask_walk_orbit_sizes(d, d) == tuple(comb(d, i) for i in range(1, d + 1))
+    with pytest.raises(perm.NotTransitive, match=r"conjugate 0 .* is not \(0 1\)"):
+        perm.subset_orbit_sizes(d, 1)
+
+
+@pytest.mark.parametrize("cycle", [(1, 2, 0, 4, 3), (1, 2, 3, 0, 4), (1, 1, 3, 4, 0)])
+def test_certificate_refuses_a_cycle_that_is_not_a_d_cycle(monkeypatch, cycle):
+    # a 3-cycle times a swap stalls at (2 0) for k = 2, a 4-cycle at (3 0)
+    # for k = 3, the last; a non-bijective "cycle" leaves an entry of the
+    # conjugate unset at k = 1
+    monkeypatch.setattr(perm, "_generator_rows", lambda d: ((1, 0, 2, 3, 4), cycle))
+    with pytest.raises(perm.NotTransitive):
+        perm.subset_orbit_sizes(5, 2)
 
 
 def test_group_action_validates_bijections():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from multisec import perm, strata
@@ -97,6 +99,14 @@ def test_realized_must_lie_in_divisor_semigroup():
         index_bounds((5, 10), (0,))  # 0 is in every semigroup, below its least divisor
 
 
+def test_index_bounds_refuse_a_realized_gcd_off_the_divisors_gcd(monkeypatch):
+    # membership implies the check, so it fires only when membership lies:
+    # 9 then passes as a combination of 4 and 6, and 9 % 2 != 0
+    monkeypatch.setattr(strata.NumericalSemigroup, "contains", lambda self, n: True)
+    with pytest.raises(ValueError, match="index bounds incompatible"):
+        index_bounds((4, 6), (9,))
+
+
 def test_realized_semigroup_membership_holds_for_builtins():
     for results in (hypersurface(5, 2), check_enriques_pencil()[0], hypersurface(3, 5)):
         semi = NumericalSemigroup(tuple(results["divisors"]))
@@ -126,9 +136,29 @@ def test_non_transitive_stratum_is_hard_error():
         stratum_divisor(action)
 
 
+def parity_rows(d):
+    """The swap (0 2) and the cycle x -> x + 1: for even d, {evens, odds} is a block system."""
+    return (2, 1, 0, *range(3, d)), (*range(1, d), 0)
+
+
 def test_hypersurface_stratum_must_be_transitive(monkeypatch):
-    # the popcount table reads one 2-subset as a 3-subset: the orbit of 0b11
-    # then covers a mask the table keeps out of its class
+    # the oracle: the pairs inside one parity class and the pairs across
+    # them are never exchanged, so the 2-subsets split into several orbits
+    for d in (4, 6, 8):
+        pairs = list(combinations(range(d), 2))
+        index = {pair: k for k, pair in enumerate(pairs)}
+        rows = [[index[tuple(sorted(g[x] for x in pair))] for pair in pairs]
+                for g in parity_rows(d)]
+        assert len(perm.orbit_decomposition(perm.GroupAction(pairs, rows))) > 1
+    monkeypatch.setattr(perm, "_generator_rows", parity_rows)
+    for d in (4, 6, 8):
+        with pytest.raises(NotTransitive):
+            check_hypersurface_pencil(d, 2)
+
+
+def test_hypersurface_orbit_size_from_a_wrong_table_is_refused(monkeypatch):
+    # a popcount table that reads one 2-subset as a 3-subset counts 9 masks
+    # in the class of 2, and the closed form refuses that size
     real = perm._popcount_table
 
     def relabelled(d):
@@ -137,7 +167,7 @@ def test_hypersurface_stratum_must_be_transitive(monkeypatch):
         return table
 
     monkeypatch.setattr(perm, "_popcount_table", relabelled)
-    with pytest.raises(NotTransitive):
+    with pytest.raises(AssertionError, match=r"orbit size 9 != C\(5,2\) = 10"):
         check_hypersurface_pencil(5, 2)
 
 
